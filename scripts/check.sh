@@ -8,15 +8,19 @@
 #   2. dbplint tree-wide: the project-specific determinism &
 #      consistency linter (tools/lint/, see DESIGN.md "Static
 #      analysis layer") must report zero findings.
-#   3. ASan+UBSan build with the DRAM protocol checker compiled in
+#   3. Benchmark digest gate: one short perfbench run per workload
+#      (seed 1) must print no "digest check: CHANGED" line and end in
+#      a result with "correct": true, so a speed-only change cannot
+#      move a simulated statistic unnoticed.
+#   4. ASan+UBSan build with the DRAM protocol checker compiled in
 #      (DBPSIM_CHECK=ON) and the full test suite again.
-#   4. TSan build + the campaign/executor/refresh/protocol-check test
+#   5. TSan build + the campaign/executor/refresh/protocol-check test
 #      subset — the parallel experiment executor must be data-race
 #      free, and the refresh engine must stay checker-clean under it.
-#   5. clang-tidy over the files changed relative to the merge base,
+#   6. clang-tidy over the files changed relative to the merge base,
 #      or over every file in compile_commands.json with --full
 #      (skipped with a note when clang-tidy is not installed).
-#   6. cppcheck over the same file set (skipped with a note when
+#   7. cppcheck over the same file set (skipped with a note when
 #      cppcheck is not installed).
 #
 # Usage: scripts/check.sh [--full] [base-ref]
@@ -58,12 +62,27 @@ step "dbplint tree-wide"
 ./build/tools/lint/dbplint --root=.
 
 # ---------------------------------------------------------------- 3 --
+step "benchmark digest gate (perfbench, seed 1)"
+for workload in mix8_loaded alone_sweep mix8_salp_checked; do
+    if ! out="$(python3 perfbench/run.py --workload "$workload" \
+            --seed 1 --seconds 1 --trace 0)" ||
+        grep -q 'digest check: CHANGED' <<<"$out" ||
+        ! tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+        printf '%s\n' "$out"
+        echo "check.sh: perfbench $workload: digest changed or" \
+            "result not correct" >&2
+        exit 1
+    fi
+    echo "$workload: digest and result ok"
+done
+
+# ---------------------------------------------------------------- 4 --
 step "ASan+UBSan build (protocol checker ON) + tests"
 cmake --preset asan-ubsan >/dev/null
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"
 
-# ---------------------------------------------------------------- 4 --
+# ---------------------------------------------------------------- 5 --
 step "TSan build + parallel-executor tests"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" --target dbpsim_tests
@@ -104,7 +123,7 @@ while IFS= read -r f; do
     [ -n "$f" ] && [ -f "$f" ] && existing+=("$f")
 done <<<"$changed"
 
-# ---------------------------------------------------------------- 5 --
+# ---------------------------------------------------------------- 6 --
 if [ "$full" -eq 1 ]; then
     step "clang-tidy over all translation units"
 else
@@ -119,7 +138,7 @@ else
     clang-tidy -p build "${existing[@]}"
 fi
 
-# ---------------------------------------------------------------- 6 --
+# ---------------------------------------------------------------- 7 --
 step "cppcheck over the same file set"
 if ! command -v cppcheck >/dev/null 2>&1; then
     echo "cppcheck not installed; skipping this step."

@@ -1,22 +1,57 @@
 #include "cache/cache.hh"
 
+#include <sstream>
+
 #include "common/log.hh"
 
 namespace dbpsim {
 
+namespace {
+
+/** Dirty flag, the low bit of Line::tagDirty. */
+constexpr std::uint64_t kDirty = 1;
+
+} // namespace
+
+std::string
+CacheParams::validate() const
+{
+    std::ostringstream os;
+    if (!isPowerOfTwo(lineBytes)) {
+        os << "cache line size (" << lineBytes
+           << ") must be a power of two";
+        return os.str();
+    }
+    if (associativity == 0) {
+        os << "cache associativity must be >= 1";
+        return os.str();
+    }
+    std::uint64_t lines = sizeBytes / lineBytes;
+    if (lines == 0 || sizeBytes % lineBytes != 0 ||
+        lines % associativity != 0) {
+        os << "cache size (" << sizeBytes << ") must be a nonzero "
+           << "multiple of line size x assoc (" << lineBytes << " x "
+           << associativity << ")";
+        return os.str();
+    }
+    if (!isPowerOfTwo(lines / associativity)) {
+        os << "cache set count must be a power of two (got "
+           << lines / associativity << ")";
+        return os.str();
+    }
+    return std::string();
+}
+
 SetAssocCache::SetAssocCache(CacheParams params) : params_(params)
 {
-    if (!isPowerOfTwo(params_.lineBytes))
-        fatal("cache line size must be a power of two");
-    if (params_.associativity == 0)
-        fatal("cache associativity must be >= 1");
-    std::uint64_t line_count = params_.sizeBytes / params_.lineBytes;
-    if (line_count == 0 || line_count % params_.associativity != 0)
-        fatal("cache size / line size must be a multiple of assoc");
-    sets_ = line_count / params_.associativity;
-    if (!isPowerOfTwo(sets_))
-        fatal("cache set count must be a power of two (got ", sets_, ")");
-    lines_.resize(line_count);
+    std::string err = params_.validate();
+    if (!err.empty())
+        fatal("invalid cache geometry: ", err);
+    sets_ = params_.sizeBytes / params_.lineBytes / params_.associativity;
+    // Raw storage: pages are only faulted in when a set first fills.
+    lines_ = std::make_unique_for_overwrite<Line[]>(
+        sets_ * params_.associativity);
+    fill_.assign(sets_, 0);
 }
 
 void
@@ -25,6 +60,19 @@ SetAssocCache::split(Addr paddr, std::uint64_t &set, Addr &tag) const
     Addr line = paddr / params_.lineBytes;
     set = line % sets_;
     tag = line / sets_;
+    DBP_ASSERT((tag << 1) >> 1 == tag,
+               "cache tag " << tag << " leaves no bit for the dirty flag");
+}
+
+unsigned
+SetAssocCache::find(std::uint64_t set, Addr tag) const
+{
+    const Line *base = &lines_[set * params_.associativity];
+    const std::uint64_t key = tag << 1;
+    for (unsigned w = 0; w < fill_[set]; ++w)
+        if ((base[w].tagDirty & ~kDirty) == key)
+            return w;
+    return params_.associativity;
 }
 
 bool
@@ -33,11 +81,21 @@ SetAssocCache::contains(Addr paddr) const
     std::uint64_t set;
     Addr tag;
     split(paddr, set, tag);
-    const Line *base = &lines_[set * params_.associativity];
-    for (unsigned w = 0; w < params_.associativity; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    return find(set, tag) != params_.associativity;
+}
+
+bool
+SetAssocCache::readHit(Addr paddr)
+{
+    std::uint64_t set;
+    Addr tag;
+    split(paddr, set, tag);
+    unsigned way = find(set, tag);
+    if (way == params_.associativity)
+        return false;
+    lines_[set * params_.associativity + way].lastUse = ++useCounter_;
+    statHits.inc();
+    return true;
 }
 
 CacheAccessResult
@@ -51,57 +109,45 @@ SetAssocCache::access(Addr paddr, bool write)
 
     CacheAccessResult result;
 
-    // Hit path.
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.tag == tag) {
-            l.lastUse = useCounter_;
-            l.dirty = l.dirty || write;
-            result.hit = true;
-            statHits.inc();
-            return result;
-        }
+    unsigned way = find(set, tag);
+    if (way != params_.associativity) {
+        Line &l = base[way];
+        l.lastUse = useCounter_;
+        if (write)
+            l.tagDirty |= kDirty;
+        result.hit = true;
+        statHits.inc();
+        return result;
     }
     statMisses.inc();
 
-    // Miss: pick an invalid way, else the LRU way.
-    unsigned victim = 0;
-    std::uint64_t oldest = ~0ULL;
-    for (unsigned w = 0; w < params_.associativity; ++w) {
-        Line &l = base[w];
-        if (!l.valid) {
-            victim = w;
-            oldest = 0;
-            break;
-        }
-        if (l.lastUse < oldest) {
-            oldest = l.lastUse;
-            victim = w;
-        }
-    }
-
-    Line &v = base[victim];
-    if (v.valid) {
+    // Miss: the first invalid way, else the LRU way.
+    unsigned victim = fill_[set];
+    if (victim < params_.associativity) {
+        ++fill_[set];
+    } else {
+        victim = 0;
+        for (unsigned w = 1; w < params_.associativity; ++w)
+            if (base[w].lastUse < base[victim].lastUse)
+                victim = w;
+        const Line &v = base[victim];
         statEvictions.inc();
-        if (v.dirty) {
+        if (v.tagDirty & kDirty) {
             statWritebacks.inc();
             result.writeback = true;
             result.writebackAddr =
-                (v.tag * sets_ + set) * params_.lineBytes;
+                ((v.tagDirty >> 1) * sets_ + set) * params_.lineBytes;
         }
     }
-    v.valid = true;
-    v.tag = tag;
-    v.dirty = write;
-    v.lastUse = useCounter_;
+
+    base[victim] = Line{tag << 1 | (write ? kDirty : 0), useCounter_};
     return result;
 }
 
 void
 SetAssocCache::flush()
 {
-    for (auto &l : lines_)
-        l = Line{};
+    fill_.assign(sets_, 0);
     useCounter_ = 0;
 }
 

@@ -11,6 +11,8 @@
 #define DBPSIM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -28,6 +30,14 @@ struct CacheParams
     std::uint64_t lineBytes = 64;         ///< line size.
     // dbplint:allow(cycle-literal) reason=L2 hit latency in CPU cycles (tab1 configuration), overridden by config key cache_hit_latency
     Cycle hitLatency = 12;                ///< CPU cycles on a hit.
+
+    /**
+     * Check the geometry: a power-of-two line size, at least one way,
+     * a capacity that is a whole number of sets, and a power-of-two
+     * set count.
+     * @return Empty when usable, else a description of the problem.
+     */
+    std::string validate() const;
 };
 
 /**
@@ -46,7 +56,7 @@ struct CacheAccessResult
 class SetAssocCache
 {
   public:
-    /** @param params Validated (power-of-two sizes, assoc >= 1). */
+    /** @param params Geometry; fatal() unless params.validate() passes. */
     explicit SetAssocCache(CacheParams params);
 
     /**
@@ -55,6 +65,13 @@ class SetAssocCache
      * to memory.
      */
     CacheAccessResult access(Addr paddr, bool write);
+
+    /**
+     * Read-hit probe. On a hit, counts it and refreshes the line's LRU
+     * stamp exactly as access(paddr, false) would, and returns true.
+     * On a miss, changes nothing and returns false.
+     */
+    bool readHit(Addr paddr);
 
     /** Probe without side effects. */
     bool contains(Addr paddr) const;
@@ -80,20 +97,28 @@ class SetAssocCache
     /// @}
 
   private:
+    /** A valid line. No default initialiser, so storage starts raw. */
     struct Line
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
+        std::uint64_t tagDirty; ///< tag << 1 | dirty.
+        std::uint64_t lastUse;  ///< LRU stamp (useCounter_ at last use).
     };
 
     /** Set index and tag of an address. */
     void split(Addr paddr, std::uint64_t &set, Addr &tag) const;
 
+    /** Way of @p set holding @p tag, or associativity when absent. */
+    unsigned find(std::uint64_t set, Addr tag) const;
+
     CacheParams params_;
     std::uint64_t sets_;
-    std::vector<Line> lines_; ///< [set * assoc + way].
+    /**
+     * [set * assoc + way], default-initialised. Ways fill in order and
+     * only flush() invalidates, so the valid ways of a set are exactly
+     * [0, fill_[set]); nothing at or above the fill count is ever read.
+     */
+    std::unique_ptr<Line[]> lines_;
+    std::vector<unsigned> fill_; ///< valid ways per set.
     std::uint64_t useCounter_ = 0;
 };
 

@@ -142,6 +142,14 @@ SystemParams::applyConfig(const Config &config)
         config.getUInt("cache_assoc", cache.associativity));
     cache.hitLatency = config.getUInt("cache_hit_latency",
                                       cache.hitLatency);
+    if (cacheEnabled) {
+        CacheParams checked = cache;
+        checked.lineBytes = geometry.lineBytes;
+        std::string err = checked.validate();
+        if (!err.empty())
+            fatal("cache_size=", cache.sizeBytes, " cache_assoc=",
+                  cache.associativity, ": ", err);
+    }
 }
 
 std::string

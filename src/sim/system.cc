@@ -93,8 +93,7 @@ System::issueLoad(ThreadId tid, Addr vaddr, MemClient *client,
 
     if (params_.cacheEnabled) {
         SetAssocCache &cache = *caches_.at(static_cast<unsigned>(tid));
-        if (cache.contains(paddr)) {
-            cache.access(paddr, false);
+        if (cache.readHit(paddr)) {
             pendingHits_.push_back(PendingHit{
                 cpuCycle_ + cache.params().hitLatency, client, tag});
             return true;

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <sstream>
 
+#include "check/protocol_check.hh"
+#include "sim/baseline.hh"
 #include "sim/system.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
@@ -303,6 +307,52 @@ TEST(System, CacheReducesDramTraffic)
         return reads;
     };
     EXPECT_LT(traffic(true), traffic(false) / 4);
+}
+
+TEST(System, CacheOnSalpCheckedDigestPinned)
+{
+    // Pins the cache-on path (hits, evictions, dirty writebacks into
+    // the write queue) under MASA, per-bank refresh and the protocol
+    // checker. A change to the cache's victim choice, writeback
+    // address or hit path shifts the IPCs or the DRAM traffic hashed
+    // below; a speed-only change must leave the constant alone.
+    auto hot = makeSource("hot", 30, 2, 16, 0.3, 48, 9);
+    auto wide = makeSource("wide", 20, 6, 2, 0.6, 4096, 2);
+    std::vector<TraceSource *> raw{hot.get(), wide.get()};
+    SystemParams params = smallParams(2);
+    params.cacheEnabled = true;
+    params.cache.sizeBytes = 64 * 1024;
+    params.controller.salp = SalpMode::Masa;
+    params.controller.refresh.mode = RefreshMode::PerBank;
+    params.protocolCheck = true;
+    System sys(params, raw);
+    auto ipc = sys.runAndMeasure(100'000, 500'000);
+
+    std::ostringstream os;
+    for (double v : ipc) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        os << bits << ';';
+    }
+    std::uint64_t loads = 0;
+    for (unsigned c = 0; c < params.numCores; ++c)
+        loads += sys.coreAt(c).loadsIssued();
+    std::uint64_t reads = 0, writes = 0, forwards = 0, coalesced = 0;
+    for (unsigned c = 0; c < sys.numControllers(); ++c) {
+        const MemoryController &mc = sys.controllerAt(c);
+        reads += mc.channel().statReads.value();
+        writes += mc.channel().statWrites.value();
+        forwards += mc.statWriteForwards.value();
+        coalesced += mc.statWriteCoalesced.value();
+    }
+    os << reads << ';' << writes << ';' << forwards << ';' << coalesced;
+
+    ASSERT_NE(sys.protocolChecker(), nullptr);
+    EXPECT_EQ(sys.protocolChecker()->violations(), 0u);
+    // The cache absorbs a good share of the loads and writes back.
+    EXPECT_LT(reads, loads);
+    EXPECT_GT(writes, 0u);
+    EXPECT_EQ(hashString(os.str()), 0x37ff1fd79919f420ULL) << os.str();
 }
 
 TEST(System, WritesReachDram)

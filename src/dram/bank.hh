@@ -1,44 +1,35 @@
 /**
  * @file
- * Per-bank DRAM state: the open row and the earliest cycle at which
- * each command class may next be issued to this bank. The channel is
- * the only writer of these fields.
+ * Per-bank DRAM state. A bank is an array of subarrays (subarray.hh),
+ * each a local row buffer with its own earliest-next-command times;
+ * salp=none is the one-subarray case. The channel stores each bank's
+ * subarrays contiguously (DramChannel::subarray()); BankState holds
+ * the fields they share: the MASA designated latch and the per-bank
+ * refresh window. The channel is the only writer.
  */
 
 #ifndef DBPSIM_DRAM_BANK_HH
 #define DBPSIM_DRAM_BANK_HH
-
-#include <cstdint>
 
 #include "common/types.hh"
 
 namespace dbpsim {
 
 /**
- * State of one DRAM bank.
+ * Per-bank state shared by a bank's subarrays.
  */
 struct BankState
 {
-    /** True when a row is latched in the row buffer. */
-    bool open = false;
+    /** Subarray linked to the global bitlines (MASA; an ACT
+     *  designates its own subarray). */
+    unsigned designated = 0;
 
-    /** The open row (valid iff open). */
-    std::uint64_t row = 0;
+    /** Cycle the designated link becomes usable (SA_SEL takes tSA). */
+    Cycle designateReadyAt = 0;
 
-    /** Earliest cycle an ACTIVATE may issue (tRC, tRP, tRFC...). */
-    Cycle nextActivate = 0;
-
-    /** Earliest cycle a PRECHARGE may issue (tRAS, tRTP, write recovery). */
-    Cycle nextPrecharge = 0;
-
-    /** Earliest cycle a READ may issue (tRCD after ACT). */
-    Cycle nextRead = 0;
-
-    /** Earliest cycle a WRITE may issue (tRCD after ACT). */
-    Cycle nextWrite = 0;
-
-    /** End of an in-flight per-bank refresh (REFpb); the next* fields
-     *  are pushed past it, this records it for introspection. */
+    /** End of an in-flight per-bank refresh (REFpb); the subarrays'
+     *  next* fields are pushed past it, this records it for
+     *  introspection. */
     Cycle refreshUntil = 0;
 
     /** True while a per-bank refresh occupies this bank at @p now. */

@@ -26,25 +26,17 @@ dramCmdName(DramCmd cmd)
 DramChannel::DramChannel(const DramGeometry &geom, const DramTiming &timing,
                          unsigned channel_id, SalpMode salp)
     : timing_(timing), id_(channel_id), banksPerRank_(geom.banksPerRank),
-      salp_(salp), subarraysPerBank_(geom.subarraysPerBank)
+      salp_(salp),
+      subarraysPerBank_(salp == SalpMode::None ? 1 : geom.subarraysPerBank)
 {
     std::string err = timing.validate();
     if (!err.empty())
         fatal("invalid DRAM timing: ", err);
 
     ranks_.resize(geom.ranksPerChannel);
-    banks_.resize(geom.ranksPerChannel);
-    for (auto &rank_banks : banks_)
-        rank_banks.resize(geom.banksPerRank);
-
-    if (salp_ != SalpMode::None) {
-        subBanks_.resize(geom.ranksPerChannel);
-        for (auto &rank_subs : subBanks_) {
-            rank_subs.resize(geom.banksPerRank);
-            for (auto &sb : rank_subs)
-                sb.subs.resize(geom.subarraysPerBank);
-        }
-    }
+    banks_.resize(static_cast<std::size_t>(geom.ranksPerChannel)
+                  * banksPerRank_);
+    subs_.resize(banks_.size() * subarraysPerBank_);
 
     // Stagger initial refresh deadlines so ranks don't refresh in
     // lock-step (matches real controllers and avoids bus storms).
@@ -58,7 +50,30 @@ DramChannel::bank(unsigned rank, unsigned bank_idx) const
 {
     DBP_ASSERT(rank < ranks_.size(), "rank out of range");
     DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
-    return banks_[rank][bank_idx];
+    return banks_[bankIndex(rank, bank_idx)];
+}
+
+const SubarrayState &
+DramChannel::subarray(unsigned rank, unsigned bank_idx,
+                      std::uint64_t row) const
+{
+    DBP_ASSERT(rank < ranks_.size(), "rank out of range");
+    DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
+    return subsOf(rank, bank_idx)[subarrayOf(row)];
+}
+
+const SubarrayState *
+DramChannel::openSubarray(unsigned rank, unsigned bank_idx) const
+{
+    std::span<const SubarrayState> subs = subsOf(rank, bank_idx);
+    const SubarrayState &designated =
+        subs[bank(rank, bank_idx).designated];
+    if (designated.open)
+        return &designated;
+    for (const SubarrayState &s : subs)
+        if (s.open)
+            return &s;
+    return nullptr;
 }
 
 const RankState &
@@ -68,26 +83,12 @@ DramChannel::rank(unsigned rank_idx) const
     return ranks_[rank_idx];
 }
 
-const SubarrayBankState &
-DramChannel::subarrays(unsigned rank, unsigned bank_idx) const
-{
-    DBP_ASSERT(salp_ != SalpMode::None, "no subarray state with salp=none");
-    DBP_ASSERT(rank < ranks_.size(), "rank out of range");
-    DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
-    return subBanks_[rank][bank_idx];
-}
-
 bool
 DramChannel::rowOpen(unsigned rank, unsigned bank_idx,
                      std::uint64_t row) const
 {
-    if (salp_ != SalpMode::None) {
-        const SubarrayState &s =
-            subBanks_[rank][bank_idx].subs[subarrayOf(row)];
-        return s.open && s.row == row;
-    }
-    const BankState &b = bank(rank, bank_idx);
-    return b.open && b.row == row;
+    const SubarrayState &s = subarray(rank, bank_idx, row);
+    return s.open && s.row == row;
 }
 
 bool
@@ -115,13 +116,34 @@ DramChannel::dataBusOk(unsigned rank, bool is_write, Cycle now) const
 }
 
 void
-DramChannel::occupyDataBus(unsigned rank, bool is_write, Cycle data_start,
-                           Cycle data_end)
+DramChannel::occupyDataBus(unsigned rank, bool is_write, Cycle data_end)
 {
-    (void)data_start;
     dataBusFreeAt_ = data_end;
     lastDataRank_ = static_cast<int>(rank);
     lastDataWrite_ = is_write;
+}
+
+bool
+DramChannel::refreshable(unsigned rank_idx, unsigned bank_idx,
+                         Cycle now) const
+{
+    // Every subarray must be closed and past its precharge recovery
+    // (tRP is folded into nextActivate by the PRE effect).
+    for (const SubarrayState &s : subsOf(rank_idx, bank_idx))
+        if (s.open || now < s.nextActivate)
+            return false;
+    return true;
+}
+
+void
+DramChannel::holdBank(unsigned rank_idx, unsigned bank_idx, Cycle until)
+{
+    for (SubarrayState &s : subsOf(rank_idx, bank_idx)) {
+        s.nextActivate = std::max(s.nextActivate, until);
+        s.nextPrecharge = std::max(s.nextPrecharge, until);
+        s.nextRead = std::max(s.nextRead, until);
+        s.nextWrite = std::max(s.nextWrite, until);
+    }
 }
 
 bool
@@ -140,139 +162,51 @@ DramChannel::canIssue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
     if (r.refreshing(now))
         return false;
 
-    if (salp_ != SalpMode::None)
-        return canIssueSalp(cmd, rank_idx, bank_idx, row, now);
-
-    switch (cmd) {
-      case DramCmd::Activate: {
-        const BankState &b = banks_[rank_idx][bank_idx];
-        if (b.open)
-            return false;
-        return now >= b.nextActivate && now >= r.nextActivate &&
-               !fawBlocked(r, now);
-      }
-      case DramCmd::Precharge: {
-        const BankState &b = banks_[rank_idx][bank_idx];
-        return now >= b.nextPrecharge;
-      }
-      case DramCmd::Read:
-      case DramCmd::ReadAp: {
-        const BankState &b = banks_[rank_idx][bank_idx];
-        if (!b.open || b.row != row)
-            return false;
-        return now >= b.nextRead && now >= r.nextRead &&
-               now >= nextColCmd_ && dataBusOk(rank_idx, false, now);
-      }
-      case DramCmd::Write:
-      case DramCmd::WriteAp: {
-        const BankState &b = banks_[rank_idx][bank_idx];
-        if (!b.open || b.row != row)
-            return false;
-        return now >= b.nextWrite && now >= nextColCmd_ &&
-               dataBusOk(rank_idx, true, now);
-      }
-      case DramCmd::Refresh: {
-        for (unsigned b = 0; b < banksPerRank_; ++b) {
-            const BankState &bs = banks_[rank_idx][b];
-            if (bs.open)
+    if (cmd == DramCmd::Refresh) {
+        for (unsigned b = 0; b < banksPerRank_; ++b)
+            if (!refreshable(rank_idx, b, now))
                 return false;
-            // All banks must have completed precharge (tRP folded
-            // into nextActivate by the PRE effect).
-            if (now < bs.nextActivate)
-                return false;
-        }
         return true;
-      }
-      case DramCmd::RefreshBank: {
-        // Like an ACT slot: the target bank must be closed and past
-        // its precharge recovery; other banks are unaffected.
-        const BankState &b = banks_[rank_idx][bank_idx];
-        return !b.open && now >= b.nextActivate;
-      }
-      case DramCmd::SaSel:
-        return false; // meaningful only under MASA.
     }
-    DBP_PANIC("unreachable DramCmd");
-}
 
-bool
-DramChannel::canIssueSalp(DramCmd cmd, unsigned rank_idx,
-                          unsigned bank_idx, std::uint64_t row,
-                          Cycle now) const
-{
-    const RankState &r = ranks_[rank_idx];
+    const BankState &b = banks_[bankIndex(rank_idx, bank_idx)];
+    unsigned si = subarrayOf(row);
+    const SubarrayState &s = subsOf(rank_idx, bank_idx)[si];
+    bool hit = s.open && s.row == row;
 
     switch (cmd) {
-      case DramCmd::Activate: {
-        const SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        const SubarrayState &s = sb.subs[subarrayOf(row)];
+      case DramCmd::Activate:
+        // Unless MASA, at most one subarray holds an open row; the ACT
+        // may still overlap another subarray's in-flight precharge
+        // (its nextActivate is not consulted).
         if (s.open)
             return false;
-        if (salp_ != SalpMode::Masa) {
-            // SALP-1/2 keep the one-open-row-per-bank invariant: the
-            // ACT may overlap another subarray's in-flight precharge
-            // (its nextActivate is not consulted), but every subarray
-            // must at least have been issued its PRE.
-            for (const SubarrayState &o : sb.subs)
+        if (!multiOpen())
+            for (const SubarrayState &o : subsOf(rank_idx, bank_idx))
                 if (o.open)
                     return false;
-        }
         return now >= s.nextActivate && now >= r.nextActivate &&
                !fawBlocked(r, now);
-      }
-      case DramCmd::Precharge: {
-        const SubarrayState &s =
-            subBanks_[rank_idx][bank_idx].subs[subarrayOf(row)];
+      case DramCmd::Precharge:
         return now >= s.nextPrecharge;
-      }
       case DramCmd::Read:
-      case DramCmd::ReadAp: {
-        const SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        unsigned si = subarrayOf(row);
-        const SubarrayState &s = sb.subs[si];
-        if (!s.open || s.row != row)
-            return false;
-        if (salp_ == SalpMode::Masa &&
-            (sb.designated != si || now < sb.designateReadyAt))
-            return false; // not linked to the global bitlines.
-        return now >= s.nextRead && now >= r.nextRead &&
-               now >= nextColCmd_ && dataBusOk(rank_idx, false, now);
-      }
+      case DramCmd::ReadAp:
+        return hit && linked(b, si, now) && now >= s.nextRead &&
+               now >= r.nextRead && now >= nextColCmd_ &&
+               dataBusOk(rank_idx, false, now);
       case DramCmd::Write:
-      case DramCmd::WriteAp: {
-        const SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        unsigned si = subarrayOf(row);
-        const SubarrayState &s = sb.subs[si];
-        if (!s.open || s.row != row)
-            return false;
-        if (salp_ == SalpMode::Masa &&
-            (sb.designated != si || now < sb.designateReadyAt))
-            return false;
-        return now >= s.nextWrite && now >= nextColCmd_ &&
-               dataBusOk(rank_idx, true, now);
-      }
-      case DramCmd::SaSel: {
-        if (salp_ != SalpMode::Masa)
-            return false;
-        const SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        const SubarrayState &s = sb.subs[subarrayOf(row)];
-        if (!s.open || s.row != row)
-            return false;
-        return now >= sb.designateReadyAt; // relinks serialize.
-      }
-      case DramCmd::Refresh: {
-        for (unsigned b = 0; b < banksPerRank_; ++b)
-            for (const SubarrayState &s : subBanks_[rank_idx][b].subs)
-                if (s.open || now < s.nextActivate)
-                    return false;
-        return true;
-      }
-      case DramCmd::RefreshBank: {
-        for (const SubarrayState &s : subBanks_[rank_idx][bank_idx].subs)
-            if (s.open || now < s.nextActivate)
-                return false;
-        return true;
-      }
+      case DramCmd::WriteAp:
+        return hit && linked(b, si, now) && now >= s.nextWrite &&
+               now >= nextColCmd_ && dataBusOk(rank_idx, true, now);
+      case DramCmd::SaSel:
+        // Relinks serialize: the previous one must have completed.
+        return designatedColumns() && hit && now >= b.designateReadyAt;
+      case DramCmd::RefreshBank:
+        // Like an ACT slot: the target bank must be closed and past
+        // its precharge recovery; other banks are unaffected.
+        return refreshable(rank_idx, bank_idx, now);
+      case DramCmd::Refresh:
+        break;
     }
     DBP_PANIC("unreachable DramCmd");
 }
@@ -298,110 +232,25 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         observer_->onCommand(ev);
     }
 
-    if (salp_ != SalpMode::None)
-        return issueSalp(cmd, rank_idx, bank_idx, row, now);
-
     RankState &r = ranks_[rank_idx];
 
-    switch (cmd) {
-      case DramCmd::Activate: {
-        BankState &b = banks_[rank_idx][bank_idx];
-        b.open = true;
-        b.row = row;
-        b.nextRead = std::max(b.nextRead, now + timing_.tRCD);
-        b.nextWrite = std::max(b.nextWrite, now + timing_.tRCD);
-        b.nextPrecharge = std::max(b.nextPrecharge, now + timing_.tRAS);
-        b.nextActivate = std::max(b.nextActivate, now + timing_.tRC);
-        r.nextActivate = std::max(r.nextActivate, now + timing_.tRRD);
-        r.actWindow[r.actWindowPtr] = now;
-        r.actWindowPtr = (r.actWindowPtr + 1) % 4;
-        if (r.actWindowFill < 4)
-            ++r.actWindowFill;
-        statActs.inc();
-        return 0;
-      }
-      case DramCmd::Precharge: {
-        BankState &b = banks_[rank_idx][bank_idx];
-        b.open = false;
-        b.nextActivate = std::max(b.nextActivate, now + timing_.tRP);
-        statPrecharges.inc();
-        return 0;
-      }
-      case DramCmd::Read:
-      case DramCmd::ReadAp: {
-        BankState &b = banks_[rank_idx][bank_idx];
-        Cycle data_start = now + timing_.tCL;
-        Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, false, data_start, data_end);
-        nextColCmd_ = now + timing_.tCCD;
-        b.nextPrecharge = std::max(b.nextPrecharge, now + timing_.tRTP);
-        if (cmd == DramCmd::ReadAp) {
-            b.open = false;
-            b.nextActivate = std::max(
-                b.nextActivate, now + timing_.tRTP + timing_.tRP);
-            statPrecharges.inc();
-        }
-        statReads.inc();
-        return data_end;
-      }
-      case DramCmd::Write:
-      case DramCmd::WriteAp: {
-        BankState &b = banks_[rank_idx][bank_idx];
-        Cycle data_start = now + timing_.tCWL;
-        Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, true, data_start, data_end);
-        nextColCmd_ = now + timing_.tCCD;
-        b.nextPrecharge = std::max(b.nextPrecharge,
-                                   data_end + timing_.tWR);
-        r.nextRead = std::max(r.nextRead, data_end + timing_.tWTR);
-        if (cmd == DramCmd::WriteAp) {
-            b.open = false;
-            b.nextActivate = std::max(
-                b.nextActivate, data_end + timing_.tWR + timing_.tRP);
-            statPrecharges.inc();
-        }
-        statWrites.inc();
-        return data_end;
-      }
-      case DramCmd::Refresh: {
-        for (unsigned b = 0; b < banksPerRank_; ++b) {
-            BankState &bs = banks_[rank_idx][b];
-            bs.nextActivate = std::max(bs.nextActivate,
-                                       now + timing_.tRFC);
-        }
+    if (cmd == DramCmd::Refresh) {
+        for (unsigned b = 0; b < banksPerRank_; ++b)
+            for (SubarrayState &s : subsOf(rank_idx, b))
+                s.nextActivate = std::max(s.nextActivate,
+                                          now + timing_.tRFC);
         r.refreshDoneAt = now + timing_.tRFC;
         r.refreshDueAt += timing_.tREFI;
         statRefreshes.inc();
         return 0;
-      }
-      case DramCmd::RefreshBank: {
-        BankState &b = banks_[rank_idx][bank_idx];
-        Cycle until = now + timing_.tRFCpb;
-        b.refreshUntil = until;
-        b.nextActivate = std::max(b.nextActivate, until);
-        b.nextPrecharge = std::max(b.nextPrecharge, until);
-        b.nextRead = std::max(b.nextRead, until);
-        b.nextWrite = std::max(b.nextWrite, until);
-        statRefreshesPb.inc();
-        return 0;
-      }
-      case DramCmd::SaSel:
-        DBP_PANIC("SASEL issued with salp=none");
     }
-    DBP_PANIC("unreachable DramCmd");
-}
 
-Cycle
-DramChannel::issueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
-                       std::uint64_t row, Cycle now)
-{
-    RankState &r = ranks_[rank_idx];
+    BankState &b = banks_[bankIndex(rank_idx, bank_idx)];
+    unsigned si = subarrayOf(row);
+    SubarrayState &s = subsOf(rank_idx, bank_idx)[si];
 
     switch (cmd) {
-      case DramCmd::Activate: {
-        SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        unsigned si = subarrayOf(row);
-        SubarrayState &s = sb.subs[si];
+      case DramCmd::Activate:
         s.open = true;
         s.row = row;
         s.nextRead = std::max(s.nextRead, now + timing_.tRCD);
@@ -410,38 +259,28 @@ DramChannel::issueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
         s.nextActivate = std::max(s.nextActivate, now + timing_.tRC);
         // The freshest activation drives the global bitlines; under
         // MASA a later SA_SEL can hand them back to an older row.
-        sb.designated = si;
-        sb.designateReadyAt = now;
+        b.designated = si;
+        b.designateReadyAt = now;
         r.nextActivate = std::max(r.nextActivate, now + timing_.tRRD);
         r.actWindow[r.actWindowPtr] = now;
         r.actWindowPtr = (r.actWindowPtr + 1) % 4;
         if (r.actWindowFill < 4)
             ++r.actWindowFill;
         statActs.inc();
-        syncMirror(rank_idx, bank_idx);
         return 0;
-      }
-      case DramCmd::Precharge: {
-        SubarrayState &s =
-            subBanks_[rank_idx][bank_idx].subs[subarrayOf(row)];
+      case DramCmd::Precharge:
+        // The precharge completes internally only once write recovery
+        // is over. Without deferPrecharge() the PRE could not issue
+        // before that anyway, so this is then simply now.
         s.open = false;
-        // SALP-2/MASA let the PRE issue during write recovery; its
-        // internal completion (and hence the next ACT) still waits.
-        Cycle done = now;
-        if (salp_ != SalpMode::Salp1)
-            done = std::max(done, s.wrRecoveryAt);
-        s.nextActivate = std::max(s.nextActivate, done + timing_.tRP);
+        s.nextActivate = std::max(
+            s.nextActivate, std::max(now, s.wrRecoveryAt) + timing_.tRP);
         statPrecharges.inc();
-        syncMirror(rank_idx, bank_idx);
         return 0;
-      }
       case DramCmd::Read:
       case DramCmd::ReadAp: {
-        SubarrayState &s =
-            subBanks_[rank_idx][bank_idx].subs[subarrayOf(row)];
-        Cycle data_start = now + timing_.tCL;
-        Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, false, data_start, data_end);
+        Cycle data_end = now + timing_.tCL + timing_.tBURST;
+        occupyDataBus(rank_idx, false, data_end);
         nextColCmd_ = now + timing_.tCCD;
         s.nextPrecharge = std::max(s.nextPrecharge, now + timing_.tRTP);
         if (cmd == DramCmd::ReadAp) {
@@ -451,27 +290,18 @@ DramChannel::issueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
             statPrecharges.inc();
         }
         statReads.inc();
-        syncMirror(rank_idx, bank_idx);
         return data_end;
       }
       case DramCmd::Write:
       case DramCmd::WriteAp: {
-        SubarrayState &s =
-            subBanks_[rank_idx][bank_idx].subs[subarrayOf(row)];
-        Cycle data_start = now + timing_.tCWL;
-        Cycle data_end = data_start + timing_.tBURST;
-        occupyDataBus(rank_idx, true, data_start, data_end);
+        Cycle data_end = now + timing_.tCWL + timing_.tBURST;
+        occupyDataBus(rank_idx, true, data_end);
         nextColCmd_ = now + timing_.tCCD;
-        if (salp_ == SalpMode::Salp1) {
-            // Without the second row-address latch the PRE itself must
-            // wait out the write recovery, exactly as in the seed.
-            s.nextPrecharge = std::max(s.nextPrecharge,
-                                       data_end + timing_.tWR);
-        } else {
-            s.nextPrecharge = std::max(s.nextPrecharge, data_end);
-            s.wrRecoveryAt = std::max(s.wrRecoveryAt,
-                                      data_end + timing_.tWR);
-        }
+        // SALP-2/MASA's second row-address latch lets the PRE itself
+        // issue at the data end; otherwise it waits out tWR.
+        s.wrRecoveryAt = std::max(s.wrRecoveryAt, data_end + timing_.tWR);
+        s.nextPrecharge = std::max(
+            s.nextPrecharge, deferPrecharge() ? data_end : s.wrRecoveryAt);
         r.nextRead = std::max(r.nextRead, data_end + timing_.tWTR);
         if (cmd == DramCmd::WriteAp) {
             s.open = false;
@@ -480,75 +310,22 @@ DramChannel::issueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
             statPrecharges.inc();
         }
         statWrites.inc();
-        syncMirror(rank_idx, bank_idx);
         return data_end;
       }
-      case DramCmd::SaSel: {
-        SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-        sb.designated = subarrayOf(row);
-        sb.designateReadyAt = now + timing_.tSA;
+      case DramCmd::SaSel:
+        b.designated = si;
+        b.designateReadyAt = now + timing_.tSA;
         statSaSels.inc();
-        syncMirror(rank_idx, bank_idx);
         return 0;
-      }
-      case DramCmd::Refresh: {
-        for (unsigned b = 0; b < banksPerRank_; ++b) {
-            for (SubarrayState &s : subBanks_[rank_idx][b].subs)
-                s.nextActivate = std::max(s.nextActivate,
-                                          now + timing_.tRFC);
-            syncMirror(rank_idx, b);
-        }
-        r.refreshDoneAt = now + timing_.tRFC;
-        r.refreshDueAt += timing_.tREFI;
-        statRefreshes.inc();
-        return 0;
-      }
-      case DramCmd::RefreshBank: {
-        Cycle until = now + timing_.tRFCpb;
-        banks_[rank_idx][bank_idx].refreshUntil = until;
-        for (SubarrayState &s : subBanks_[rank_idx][bank_idx].subs) {
-            s.nextActivate = std::max(s.nextActivate, until);
-            s.nextPrecharge = std::max(s.nextPrecharge, until);
-            s.nextRead = std::max(s.nextRead, until);
-            s.nextWrite = std::max(s.nextWrite, until);
-        }
+      case DramCmd::RefreshBank:
+        b.refreshUntil = now + timing_.tRFCpb;
+        holdBank(rank_idx, bank_idx, b.refreshUntil);
         statRefreshesPb.inc();
-        syncMirror(rank_idx, bank_idx);
         return 0;
-      }
+      case DramCmd::Refresh:
+        break;
     }
     DBP_PANIC("unreachable DramCmd");
-}
-
-void
-DramChannel::syncMirror(unsigned rank_idx, unsigned bank_idx)
-{
-    BankState &b = banks_[rank_idx][bank_idx];
-    const SubarrayBankState &sb = subBanks_[rank_idx][bank_idx];
-
-    Cycle next_act = 0;
-    for (const SubarrayState &s : sb.subs)
-        next_act = std::max(next_act, s.nextActivate);
-    b.nextActivate = next_act;
-
-    const SubarrayState *vis = nullptr;
-    if (sb.subs[sb.designated].open) {
-        vis = &sb.subs[sb.designated];
-    } else {
-        for (const SubarrayState &s : sb.subs) {
-            if (s.open) {
-                vis = &s;
-                break;
-            }
-        }
-    }
-    b.open = vis != nullptr;
-    if (vis) {
-        b.row = vis->row;
-        b.nextPrecharge = vis->nextPrecharge;
-        b.nextRead = vis->nextRead;
-        b.nextWrite = vis->nextWrite;
-    }
 }
 
 bool
@@ -565,22 +342,7 @@ DramChannel::blockBank(unsigned rank_idx, unsigned bank_idx, Cycle now,
 {
     DBP_ASSERT(rank_idx < ranks_.size(), "rank out of range");
     DBP_ASSERT(bank_idx < banksPerRank_, "bank out of range");
-    Cycle until = now + busy;
-    if (salp_ != SalpMode::None) {
-        for (SubarrayState &s : subBanks_[rank_idx][bank_idx].subs) {
-            s.nextActivate = std::max(s.nextActivate, until);
-            s.nextPrecharge = std::max(s.nextPrecharge, until);
-            s.nextRead = std::max(s.nextRead, until);
-            s.nextWrite = std::max(s.nextWrite, until);
-        }
-        syncMirror(rank_idx, bank_idx);
-        return;
-    }
-    BankState &b = banks_[rank_idx][bank_idx];
-    b.nextActivate = std::max(b.nextActivate, until);
-    b.nextPrecharge = std::max(b.nextPrecharge, until);
-    b.nextRead = std::max(b.nextRead, until);
-    b.nextWrite = std::max(b.nextWrite, until);
+    holdBank(rank_idx, bank_idx, now + busy);
 }
 
 } // namespace dbpsim

@@ -8,12 +8,18 @@
  * issue() updates all affected earliest-next-command times and, for
  * column commands, returns the cycle at which the data burst finishes
  * (when read data is available to the requester).
+ *
+ * Every bank is an array of subarrays (bank.hh): subarraysPerBank of
+ * them under a SALP mode, one under salp=none. One set of rules covers
+ * all modes; the mode only relaxes them (see subarray.hh).
  */
 
 #ifndef DBPSIM_DRAM_CHANNEL_HH
 #define DBPSIM_DRAM_CHANNEL_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "check/observer.hh"
@@ -54,8 +60,8 @@ class DramChannel
      * @param geom Machine geometry (rank/bank counts are read from it).
      * @param timing Timing rule set in bus cycles.
      * @param channel_id Identifier for diagnostics.
-     * @param salp Subarray-level parallelism mode; None keeps the
-     *        monolithic per-bank row buffer (seed behaviour).
+     * @param salp Subarray-level parallelism mode; None gives every
+     *        bank a single subarray (the monolithic seed bank).
      */
     DramChannel(const DramGeometry &geom, const DramTiming &timing,
                 unsigned channel_id, SalpMode salp = SalpMode::None);
@@ -65,9 +71,8 @@ class DramChannel
      *
      * For Read/Write/ReadAp/WriteAp, @p row must equal the open row.
      * For Refresh, @p bank is ignored. Commands to a refreshing rank
-     * are illegal until the refresh completes. With SALP enabled,
-     * @p row also selects the target subarray (Precharge and SaSel
-     * included).
+     * are illegal until the refresh completes. @p row also selects
+     * the target subarray (Precharge and SaSel included).
      */
     bool canIssue(DramCmd cmd, unsigned rank, unsigned bank,
                   std::uint64_t row, Cycle now) const;
@@ -95,8 +100,22 @@ class DramChannel
     /** True once rank @p rank's refresh deadline has passed. */
     bool refreshPending(unsigned rank, Cycle now) const;
 
-    /** Read-only bank state (for schedulers and tests). */
+    /** Read-only per-bank state (designated latch, REFpb window). */
     const BankState &bank(unsigned rank, unsigned bank_idx) const;
+
+    /** Read-only state of the subarray of a bank that holds @p row
+     *  (subarrayOf(row); the bank's only one under salp=none). */
+    const SubarrayState &subarray(unsigned rank, unsigned bank_idx,
+                                  std::uint64_t row) const;
+
+    /**
+     * Bank-level row-buffer view for mode-oblivious consumers (refresh,
+     * idle-row closing, tests): the subarray whose row the bank shows,
+     * or nullptr when every subarray is closed. That is the designated
+     * subarray if it is open, else the lowest-indexed open one.
+     */
+    const SubarrayState *openSubarray(unsigned rank,
+                                      unsigned bank_idx) const;
 
     /** Read-only rank state (for tests). */
     const RankState &rank(unsigned rank_idx) const;
@@ -119,15 +138,11 @@ class DramChannel
     /** Subarray-level parallelism mode. */
     SalpMode salpMode() const { return salp_; }
 
-    /** Subarray index of a row (valid whatever the mode). */
+    /** Subarray index of a row; always 0 under salp=none. */
     unsigned subarrayOf(std::uint64_t row) const
     {
         return static_cast<unsigned>(row & (subarraysPerBank_ - 1));
     }
-
-    /** Read-only subarray state of one bank (SALP modes only). */
-    const SubarrayBankState &subarrays(unsigned rank,
-                                       unsigned bank_idx) const;
 
     /**
      * Artificially occupy a bank for @p busy cycles starting at @p now
@@ -151,27 +166,60 @@ class DramChannel
     /** Data-bus availability for a column command issued at @p now. */
     bool dataBusOk(unsigned rank, bool is_write, Cycle now) const;
 
-    /** canIssue() body for the SALP modes (subarray-granular rules). */
-    bool canIssueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
-                      std::uint64_t row, Cycle now) const;
+    /** MASA: a subarray may open while another holds a row. */
+    bool multiOpen() const { return salp_ == SalpMode::Masa; }
 
-    /** issue() body for the SALP modes. */
-    Cycle issueSalp(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
-                    std::uint64_t row, Cycle now);
+    /** SALP-2/MASA: a PRECHARGE may issue during write recovery; its
+     *  completion (and so the subarray's next ACT) still waits. */
+    bool deferPrecharge() const
+    {
+        return salp_ == SalpMode::Salp2 || salp_ == SalpMode::Masa;
+    }
 
-    /**
-     * Re-derive the legacy BankState view of one bank from its
-     * subarrays so mode-oblivious consumers (refresh engine,
-     * schedulers) see a coherent aggregate: open iff any subarray is
-     * open, the visible row is the designated (else lowest-indexed)
-     * open subarray's, and nextActivate is the max over subarrays
-     * (conservative, which is what refresh eligibility needs).
-     */
-    void syncMirror(unsigned rank_idx, unsigned bank_idx);
+    /** MASA: column commands and SA_SEL need the designated latch. */
+    bool designatedColumns() const { return salp_ == SalpMode::Masa; }
+
+    /** Whether subarray @p si of @p b drives the global bitlines at
+     *  @p now, as a column command needs: always outside MASA; under
+     *  MASA only the designated subarray, once its relink (tSA) is
+     *  done. */
+    bool linked(const BankState &b, unsigned si, Cycle now) const
+    {
+        return !designatedColumns() ||
+               (b.designated == si && now >= b.designateReadyAt);
+    }
+
+    /** Flat index of bank @p bank_idx of rank @p rank_idx. */
+    std::size_t bankIndex(unsigned rank_idx, unsigned bank_idx) const
+    {
+        return static_cast<std::size_t>(rank_idx) * banksPerRank_
+            + bank_idx;
+    }
+
+    /** The subarrays of one bank, without bounds checks. */
+    std::span<SubarrayState> subsOf(unsigned rank_idx, unsigned bank_idx)
+    {
+        return {subs_.data() + bankIndex(rank_idx, bank_idx)
+                    * subarraysPerBank_, subarraysPerBank_};
+    }
+    std::span<const SubarrayState> subsOf(unsigned rank_idx,
+                                          unsigned bank_idx) const
+    {
+        return {subs_.data() + bankIndex(rank_idx, bank_idx)
+                    * subarraysPerBank_, subarraysPerBank_};
+    }
+
+    /** True iff every subarray of the bank is closed and precharged,
+     *  so it may refresh at @p now. */
+    bool refreshable(unsigned rank_idx, unsigned bank_idx,
+                     Cycle now) const;
+
+    /** Hold every command to the bank until @p until (REFpb,
+     *  migration cost). */
+    void holdBank(unsigned rank_idx, unsigned bank_idx, Cycle until);
 
     /** Record a data burst occupying the bus. */
-    void occupyDataBus(unsigned rank, bool is_write, Cycle data_start,
-                       Cycle data_end);
+    void occupyDataBus(unsigned rank, bool is_write, Cycle data_end);
 
     /** True iff a 5th ACT in the tFAW window would be premature. */
     bool fawBlocked(const RankState &r, Cycle now) const;
@@ -180,12 +228,12 @@ class DramChannel
     unsigned id_;
     unsigned banksPerRank_;
     SalpMode salp_;
-    unsigned subarraysPerBank_;
+    unsigned subarraysPerBank_; ///< 1 under salp=none.
 
     std::vector<RankState> ranks_;
-    std::vector<std::vector<BankState>> banks_; ///< [rank][bank].
-    /** [rank][bank] subarray state; empty when salp_ == None. */
-    std::vector<std::vector<SubarrayBankState>> subBanks_;
+    std::vector<BankState> banks_;     ///< [bankIndex(rank, bank)].
+    /** [bankIndex(rank, bank) * subarraysPerBank_ + sub]. */
+    std::vector<SubarrayState> subs_;
 
     CommandObserver *observer_ = nullptr; ///< protocol checker hook.
 

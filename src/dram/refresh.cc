@@ -126,13 +126,13 @@ bool
 RefreshEngine::prechargeOne(unsigned rank, Cycle now)
 {
     for (unsigned b = 0; b < channel_.numBanks(); ++b) {
-        const BankState &bs = channel_.bank(rank, b);
-        // PRE addressed to the open row so SALP modes close the right
-        // subarray (the row argument is ignored with salp=none).
-        if (bs.open &&
-            channel_.canIssue(DramCmd::Precharge, rank, b, bs.row,
+        // PRE addressed to the open row so it closes the right
+        // subarray.
+        const SubarrayState *open = channel_.openSubarray(rank, b);
+        if (open &&
+            channel_.canIssue(DramCmd::Precharge, rank, b, open->row,
                               now)) {
-            channel_.issue(DramCmd::Precharge, rank, b, bs.row, now);
+            channel_.issue(DramCmd::Precharge, rank, b, open->row, now);
             return true;
         }
     }
@@ -284,11 +284,11 @@ RefreshEngine::tickPerBank(Cycle now)
             blocked_[r][b] = 1;
             if (issued)
                 continue;
-            const BankState &bs = channel_.bank(r, b);
-            if (bs.open) {
-                if (channel_.canIssue(DramCmd::Precharge, r, b, bs.row,
+            const SubarrayState *open = channel_.openSubarray(r, b);
+            if (open) {
+                if (channel_.canIssue(DramCmd::Precharge, r, b, open->row,
                                       now)) {
-                    channel_.issue(DramCmd::Precharge, r, b, bs.row,
+                    channel_.issue(DramCmd::Precharge, r, b, open->row,
                                    now);
                     issued = true;
                 }
@@ -320,13 +320,14 @@ RefreshEngine::tickPerBank(Cycle now)
             const BankState &bs = channel_.bank(r, b);
             if (bs.refreshing(now))
                 continue;
-            if (!bs.open &&
+            const SubarrayState *open = channel_.openSubarray(r, b);
+            if (!open &&
                 channel_.canIssue(DramCmd::RefreshBank, r, b, 0, now)) {
                 if (pick == banks || due < bankDueAt_[r][pick])
                     pick = b;
-            } else if (bs.open && owed &&
+            } else if (open && owed &&
                        channel_.canIssue(DramCmd::Precharge, r, b,
-                                         bs.row, now)) {
+                                         open->row, now)) {
                 if (open_pick == banks ||
                     due < bankDueAt_[r][open_pick])
                     open_pick = b;
@@ -339,7 +340,8 @@ RefreshEngine::tickPerBank(Cycle now)
             issued = true;
         } else if (open_pick != banks) {
             channel_.issue(DramCmd::Precharge, r, open_pick,
-                           channel_.bank(r, open_pick).row, now);
+                           channel_.openSubarray(r, open_pick)->row,
+                           now);
             issued = true;
         }
     }

@@ -19,11 +19,12 @@
  *    global bitlines (the "designated" subarray, tSA cycles), and
  *    column commands are legal only to the designated subarray.
  *
- * The channel keeps this state alongside the legacy per-bank view and
- * mirrors the aggregate into BankState so mode-oblivious consumers
- * (refresh engine, schedulers, stats) keep working. With salp=none the
- * subarray state is never allocated and the seed code path runs
- * unchanged.
+ * The three modes are successive relaxations of one bank organisation,
+ * so the channel has a single bank model: every bank is an array of
+ * SubarrayState (bank.hh), with one element under salp=none, and the
+ * mode only decides whether a second subarray may hold an open row,
+ * whether a PRECHARGE may issue before write recovery ends, and
+ * whether column commands need the designated subarray.
  */
 
 #ifndef DBPSIM_DRAM_SUBARRAY_HH
@@ -31,7 +32,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -40,7 +40,7 @@ namespace dbpsim {
 /** Subarray-level parallelism mode of a channel. */
 enum class SalpMode
 {
-    None,  ///< seed behaviour: one monolithic row buffer per bank.
+    None,  ///< one subarray per bank: the monolithic seed bank.
     Salp1, ///< overlap PRE of one subarray with ACT of another.
     Salp2, ///< additionally overlap ACT with prior write recovery.
     Masa,  ///< multiple open subarrays + SA_SEL designated relinking.
@@ -68,8 +68,8 @@ struct SubarrayState
     /** Earliest cycle an ACTIVATE may issue (tRC, deferred tRP...). */
     Cycle nextActivate = 0;
 
-    /** Earliest cycle a PRECHARGE may issue (tRAS, tRTP, and under
-     *  SALP-1 the write recovery). */
+    /** Earliest cycle a PRECHARGE may issue (tRAS, tRTP, and the
+     *  write recovery unless the mode defers it). */
     Cycle nextPrecharge = 0;
 
     /** Earliest cycle a READ may issue (tRCD after own ACT). */
@@ -78,24 +78,10 @@ struct SubarrayState
     /** Earliest cycle a WRITE may issue (tRCD after own ACT). */
     Cycle nextWrite = 0;
 
-    /** End of the last write recovery (SALP-2/MASA): a PRECHARGE may
-     *  issue before this, but completes internally only after it. */
+    /** End of the last write recovery. Under SALP-2/MASA a PRECHARGE
+     *  may issue before this, but completes internally only after it;
+     *  otherwise nextPrecharge already waits for it. */
     Cycle wrRecoveryAt = 0;
-};
-
-/**
- * Per-bank subarray aggregate: the subarrays plus the MASA designated
- * latch (which subarray's row buffer drives the global bitlines).
- */
-struct SubarrayBankState
-{
-    std::vector<SubarrayState> subs;
-
-    /** Subarray currently linked to the global bitlines (MASA). */
-    unsigned designated = 0;
-
-    /** Cycle the designated link becomes usable (SA_SEL takes tSA). */
-    Cycle designateReadyAt = 0;
 };
 
 } // namespace dbpsim

@@ -226,38 +226,30 @@ MemoryController::nextCommandFor(const MemRequest &req,
                                  const std::vector<MemRequest> &queue) const
 {
     NextCmd next;
-    const BankState &bank = channel_.bank(req.coord.rank, req.coord.bank);
+    const SubarrayState &s =
+        channel_.subarray(req.coord.rank, req.coord.bank, req.coord.row);
+    bool hit = s.open && s.row == req.coord.row;
 
-    bool need_act = !bank.open;
-    bool hit = bank.open && bank.row == req.coord.row;
-    std::uint64_t conflict_row = bank.row;
-
-    if (channel_.salpMode() != SalpMode::None) {
-        const SubarrayBankState &sb =
-            channel_.subarrays(req.coord.rank, req.coord.bank);
-        unsigned si = channel_.subarrayOf(req.coord.row);
-        const SubarrayState &s = sb.subs[si];
-        hit = s.open && s.row == req.coord.row;
-        if (channel_.salpMode() == SalpMode::Masa) {
-            // Other subarrays' open rows never conflict under MASA;
-            // only the target subarray's state matters.
-            need_act = !s.open;
-            conflict_row = s.row;
-            if (hit && sb.designated != si) {
-                // Row already open locally: relink the global
-                // bitlines instead of precharging.
-                next.cmd = DramCmd::SaSel;
-                next.row = req.coord.row;
-                next.valid = true;
-                return next;
-            }
-        }
-        // SALP-1/2 keep one open row per bank, so the mirror view
-        // (need_act / conflict_row from BankState) stays correct; the
-        // win is in the channel overlapping PRE and ACT.
+    bool masa = channel_.salpMode() == SalpMode::Masa;
+    if (masa && hit &&
+        channel_.bank(req.coord.rank, req.coord.bank).designated !=
+            channel_.subarrayOf(req.coord.row)) {
+        // Row already open locally: relink the global bitlines instead
+        // of precharging.
+        next.cmd = DramCmd::SaSel;
+        next.row = req.coord.row;
+        next.valid = true;
+        return next;
     }
+    // The row buffer the request must get past: its own subarray's if
+    // that is open; else, outside MASA, the bank's single open row in
+    // another subarray (under MASA other subarrays never conflict).
+    const SubarrayState *open = &s;
+    if (!s.open)
+        open = masa ? nullptr
+                    : channel_.openSubarray(req.coord.rank, req.coord.bank);
 
-    if (need_act) {
+    if (!open) {
         next.cmd = DramCmd::Activate;
         next.row = req.coord.row;
         next.valid = true;
@@ -289,7 +281,7 @@ MemoryController::nextCommandFor(const MemRequest &req,
     }
     // Conflict: the row buffer holds a different row.
     next.cmd = DramCmd::Precharge;
-    next.row = conflict_row;
+    next.row = open->row;
     next.valid = true;
     return next;
 }
@@ -426,8 +418,8 @@ MemoryController::closeIdleRows(Cycle now)
 {
     for (unsigned r = 0; r < channel_.numRanks(); ++r) {
         for (unsigned b = 0; b < channel_.numBanks(); ++b) {
-            const BankState &bs = channel_.bank(r, b);
-            if (!bs.open)
+            const SubarrayState *open = channel_.openSubarray(r, b);
+            if (!open)
                 continue;
             Cycle last = lastColumnUse_[r * channel_.numBanks() + b];
             if (now < last + params_.rowIdleTimeout)
@@ -436,7 +428,7 @@ MemoryController::closeIdleRows(Cycle now)
             bool wanted = false;
             for (const auto &req : readQ_) {
                 if (req.coord.rank == r && req.coord.bank == b &&
-                    req.coord.row == bs.row) {
+                    req.coord.row == open->row) {
                     wanted = true;
                     break;
                 }
@@ -445,16 +437,16 @@ MemoryController::closeIdleRows(Cycle now)
                 if (wanted)
                     break;
                 if (req.coord.rank == r && req.coord.bank == b &&
-                    req.coord.row == bs.row)
+                    req.coord.row == open->row)
                     wanted = true;
             }
             if (wanted)
                 continue;
-            // Address the PRE to the open row so SALP modes close the
-            // right subarray (the row argument is ignored otherwise).
-            if (channel_.canIssue(DramCmd::Precharge, r, b, bs.row,
+            // Address the PRE to the open row so it closes the right
+            // subarray.
+            if (channel_.canIssue(DramCmd::Precharge, r, b, open->row,
                                   now)) {
-                channel_.issue(DramCmd::Precharge, r, b, bs.row, now);
+                channel_.issue(DramCmd::Precharge, r, b, open->row, now);
                 statIdleRowCloses.inc();
                 return true;
             }

@@ -146,10 +146,10 @@ TEST(ChannelFuzz, LegalCommandsNeverOverlapDataBus)
             }
             // Column commands must target the open row to be legal.
             if (cmd == DramCmd::Read || cmd == DramCmd::Write) {
-                const BankState &bs = ch.bank(r, b);
-                if (!bs.open)
+                const SubarrayState *open = ch.openSubarray(r, b);
+                if (!open)
                     continue;
-                row = bs.row;
+                row = open->row;
             }
             if (!ch.canIssue(cmd, r, b, row, now))
                 continue;
@@ -195,8 +195,7 @@ TEST(ChannelFuzz, ActivateSpacingHonorsTrc)
         auto r = static_cast<unsigned>(rng.nextBelow(g.ranksPerChannel));
         auto b = static_cast<unsigned>(rng.nextBelow(g.banksPerRank));
         std::size_t slot = r * g.banksPerRank + b;
-        const BankState &bs = ch.bank(r, b);
-        if (bs.open) {
+        if (ch.openSubarray(r, b)) {
             if (ch.canIssue(DramCmd::Precharge, r, b, 0, now))
                 ch.issue(DramCmd::Precharge, r, b, 0, now);
         } else if (ch.canIssue(DramCmd::Activate, r, b, 3, now)) {

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "check/protocol_check.hh"
@@ -696,15 +697,26 @@ TEST(ChannelObserver, EveryIssuedCommandIsReported)
 
 /**
  * Random legal-command streams through a real channel must be clean
- * under the checker: DramChannel::canIssue() and the checker are two
- * independent encodings of the same JEDEC rules.
+ * under the checker in every SALP mode: DramChannel::canIssue() and
+ * the checker are two independent encodings of the same JEDEC and
+ * subarray rules.
  */
-TEST(ChannelObserver, RandomLegalStreamIsViolationFree)
+class ChannelObserverModes : public ::testing::TestWithParam<std::string>
 {
+};
+
+TEST_P(ChannelObserverModes, RandomLegalStreamIsViolationFree)
+{
+    const SalpMode mode = salpModeByName(GetParam());
     DramGeometry g = geo();
+    if (mode != SalpMode::None)
+        g.subarraysPerBank = 4;
+    const unsigned subs = mode == SalpMode::None ? 1 : g.subarraysPerBank;
     DramTiming tm = ddr3_1600();
-    DramChannel ch(g, tm, 0);
-    ProtocolChecker pc(g, tm, 1);
+    DramChannel ch(g, tm, 0, mode);
+    ProtocolCheckerParams params;
+    params.salp = mode;
+    ProtocolChecker pc(g, tm, 1, params);
     ch.setObserver(&pc);
     Rng rng(99);
 
@@ -729,25 +741,29 @@ TEST(ChannelObserver, RandomLegalStreamIsViolationFree)
                 rng.nextBelow(g.banksPerRank));
             std::uint64_t row = rng.nextBelow(g.rowsPerBank);
             DramCmd cmd;
-            switch (rng.nextBelow(6)) {
+            // SA_SEL is in every mode's pool: outside MASA the channel
+            // must refuse it, or the checker flags it.
+            switch (rng.nextBelow(7)) {
               case 0: cmd = DramCmd::Activate; break;
               case 1: cmd = DramCmd::Precharge; break;
               case 2: cmd = DramCmd::Read; break;
               case 3: cmd = DramCmd::Write; break;
               case 4: cmd = DramCmd::ReadAp; break;
-              default: cmd = DramCmd::WriteAp; break;
+              case 5: cmd = DramCmd::WriteAp; break;
+              default: cmd = DramCmd::SaSel; break;
             }
-            if (cmd == DramCmd::Precharge) {
-                // The channel tolerates PRE to a closed bank as a
-                // no-op; real controllers never issue it and the
-                // checker flags it, so the fuzzer doesn't either.
-                if (!ch.bank(r, b).open)
+            if (cmd != DramCmd::Activate) {
+                // PRE, column commands and SA_SEL aim at an open
+                // subarray's row. (The channel tolerates PRE to a
+                // closed subarray as a no-op; real controllers never
+                // issue it and the checker flags it, so the fuzzer
+                // doesn't either.)
+                // Rows 0..subs-1 sit in subarrays 0..subs-1.
+                const SubarrayState &s =
+                    ch.subarray(r, b, rng.nextBelow(subs));
+                if (!s.open)
                     continue;
-            } else if (cmd != DramCmd::Activate) {
-                const BankState &bs = ch.bank(r, b);
-                if (!bs.open)
-                    continue;
-                row = bs.row;
+                row = s.row;
             }
             if (!ch.canIssue(cmd, r, b, row, now))
                 continue;
@@ -758,10 +774,18 @@ TEST(ChannelObserver, RandomLegalStreamIsViolationFree)
     }
     EXPECT_GT(pc.commandsChecked(), 1000u)
         << "fuzz barely exercised the channel";
+    if (mode == SalpMode::Masa) {
+        EXPECT_GT(ch.statSaSels.value(), 0u)
+            << "fuzz never relinked a subarray";
+    }
     EXPECT_EQ(pc.violations(), 0u) << pc.lastViolation();
     pc.finalize(last);
     EXPECT_EQ(pc.violations(), 0u) << pc.lastViolation();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllSalpModes, ChannelObserverModes,
+                         ::testing::Values("none", "salp1", "salp2",
+                                           "masa"));
 
 // ---------------------------------------------------------------------
 // Layer 3: end-to-end scheme runs must be violation-free.

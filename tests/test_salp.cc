@@ -7,13 +7,14 @@
  *     (warmup=500k, measure=1M, seed=42) is the reference: its result
  *     digest was recorded before the subarray subsystem landed and must
  *     never move while salp stays off.
- *  2. salp=none ignores the configured subarray count entirely (the
- *     subarray state is never allocated).
+ *  2. salp=none ignores the configured subarray count entirely (every
+ *     bank is a single subarray).
  *  3. A MASA + subarray-colored DBP run completes checker-clean end to
  *     end, exercising ACT/SA_SEL/column designated-latch rules, the
  *     subarray-granular color sets, and the frame allocator under the
  *     finer colors.
  *  4. The fig21 campaign is registered for the bench driver.
+ *  5. The SALP-1, SALP-2 and MASA timing paths are pinned by digest.
  */
 
 #include <gtest/gtest.h>
@@ -70,8 +71,8 @@ TEST(Salp, Fig21CampaignIsRegistered)
 
 TEST(Salp, NoneModeIgnoresSubarrayCount)
 {
-    // With salp=none the subarray state is never allocated, so the
-    // configured subarrays-per-bank must not perturb a single cycle.
+    // With salp=none every bank is a single subarray, so the configured
+    // subarrays-per-bank must not perturb a single cycle.
     std::vector<Scheme> schemes = {schemeByName("DBP")};
     RunConfig one = tinyConfig();
     one.base.geometry.subarraysPerBank = 1;
@@ -100,17 +101,50 @@ TEST(Salp, MasaColoredDbpRunsCheckerClean)
     }
 }
 
+TEST(Salp, ModeDigestsPinned)
+{
+    // Pins the SALP-1, SALP-2 and MASA timing paths bit for bit: each
+    // value is the hash of the tiny UBP+DBP campaign's jobs, recorded
+    // before the bank model was collapsed to one subarray-array path.
+    // The checker is forced off so the digest does not depend on the
+    // build's DBPSIM_CHECK default.
+    const struct
+    {
+        SalpMode mode;
+        std::uint64_t digest;
+    } cases[] = {
+        {SalpMode::Salp1, 0x0e2654e8e83dce87ULL},
+        {SalpMode::Salp2, 0xdd74e0c0285848f4ULL},
+        {SalpMode::Masa, 0x2889a8c28b9647f6ULL},
+    };
+    for (const auto &c : cases) {
+        RunConfig rc = tinyConfig();
+        rc.base.controller.salp = c.mode;
+        rc.base.geometry.subarraysPerBank = 4;
+        rc.base.protocolCheck = false;
+        Json doc = runTinyCampaign(rc, {schemeByName("UBP"),
+                                        schemeByName("DBP")});
+        EXPECT_EQ(hashString(doc.at("jobs").dump()), c.digest)
+            << salpModeName(c.mode) << " digest 0x" << std::hex
+            << hashString(doc.at("jobs").dump());
+    }
+}
+
 TEST(Salp, SeedDigestUnchangedWithSalpDisabled)
 {
     // Replicates `dbpsim_bench fig4 warmup=500000 measure=1000000
     // seed=42` exactly; the expected value is that run's printed
     // "result digest" from before the subarray subsystem existed.
     // jobs/summary are byte-identical at any worker count, so the
-    // digest is stable under parallel execution.
+    // digest is stable under parallel execution. The digest is defined
+    // for checker-off runs (a checked job reports check_violations 0,
+    // not -1), so check=0 keeps it independent of the DBPSIM_CHECK
+    // build default.
     Config cfg;
     cfg.parseToken("warmup=500000");
     cfg.parseToken("measure=1000000");
     cfg.parseToken("seed=42");
+    cfg.parseToken("check=0");
     RunConfig rc = bench::makeRunConfig(cfg);
 
     const CampaignSpec *fig4 = findCampaign("fig4");

@@ -9,9 +9,10 @@
 # job_seconds_total tracks simulator cost, and the gmean metrics catch
 # accuracy drift. fig20 and fig21 run with the protocol checker on, so
 # the point also certifies the refresh engine and the SALP/MASA
-# subsystem were violation-free at this commit. The config hash is
-# recorded so points from different machine configurations are never
-# compared by accident.
+# subsystem were violation-free at this commit. The config hash and
+# the host (host_cpu, the /proc/cpuinfo "model name"; nproc) are
+# recorded so points from different machine configurations or hosts
+# are never compared by accident.
 #
 # Usage: scripts/bench_trajectory.sh [jobs]
 #   jobs   Worker threads for the campaign (default: nproc).
@@ -56,9 +57,13 @@ trap 'rm -rf "$out"' EXIT
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+host_cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo \
+    2>/dev/null | head -n 1)"
+host_nproc="$(nproc 2>/dev/null || echo 0)"
 
 python3 - "$out/fig4.json" "$out/fig20.json" "$out/fig21.json" \
-    "$commit" "$date_utc" "$jobs" <<'EOF' >>BENCH_campaign.json
+    "$commit" "$date_utc" "$jobs" "${host_cpu:-unknown}" "$host_nproc" \
+    <<'EOF' >>BENCH_campaign.json
 import json
 import sys
 
@@ -67,6 +72,8 @@ line = {
     "commit": sys.argv[4],
     "date": sys.argv[5],
     "jobs": int(sys.argv[6]),
+    "host_cpu": sys.argv[7],
+    "nproc": int(sys.argv[8]),
     "config_hash": doc["config"]["hash"],
     "jobs_count": doc["jobs_count"],
     "wall_seconds": round(doc["wall_seconds"], 3),

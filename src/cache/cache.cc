@@ -1,7 +1,5 @@
 #include "cache/cache.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace dbpsim {
@@ -16,29 +14,21 @@ constexpr std::uint64_t kDirty = 1;
 std::string
 CacheParams::validate() const
 {
-    std::ostringstream os;
-    if (!isPowerOfTwo(lineBytes)) {
-        os << "cache line size (" << lineBytes
-           << ") must be a power of two";
-        return os.str();
-    }
-    if (associativity == 0) {
-        os << "cache associativity must be >= 1";
-        return os.str();
-    }
+    // Messages are built only on the failing branch.
+    if (!isPowerOfTwo(lineBytes))
+        return concat("cache line size (", lineBytes,
+                      ") must be a power of two");
+    if (associativity == 0)
+        return "cache associativity must be >= 1";
     std::uint64_t lines = sizeBytes / lineBytes;
     if (lines == 0 || sizeBytes % lineBytes != 0 ||
-        lines % associativity != 0) {
-        os << "cache size (" << sizeBytes << ") must be a nonzero "
-           << "multiple of line size x assoc (" << lineBytes << " x "
-           << associativity << ")";
-        return os.str();
-    }
-    if (!isPowerOfTwo(lines / associativity)) {
-        os << "cache set count must be a power of two (got "
-           << lines / associativity << ")";
-        return os.str();
-    }
+        lines % associativity != 0)
+        return concat("cache size (", sizeBytes, ") must be a nonzero "
+                      "multiple of line size x assoc (", lineBytes, " x ",
+                      associativity, ")");
+    if (!isPowerOfTwo(lines / associativity))
+        return concat("cache set count must be a power of two (got ",
+                      lines / associativity, ")");
     return std::string();
 }
 

@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace dbpsim {
 
@@ -64,14 +65,25 @@ void emit(LogLevel level, const char *tag, const std::string &msg);
 
 } // namespace detail
 
+/**
+ * Stream every argument into one string. Callers build a message only
+ * on the path that reports it (validators format on failure only).
+ */
+template <typename... Args>
+std::string
+concat(Args &&...args)
+{
+    std::ostringstream os;
+    (os << ... << args);
+    return os.str();
+}
+
 /** Report a user/configuration error and exit. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    std::ostringstream os;
-    (os << ... << args);
-    detail::fatalImpl(os.str());
+    detail::fatalImpl(concat(std::forward<Args>(args)...));
 }
 
 /** Warn about suspicious but survivable conditions. */
@@ -79,9 +91,8 @@ template <typename... Args>
 void
 warn(Args &&...args)
 {
-    std::ostringstream os;
-    (os << ... << args);
-    detail::emit(LogLevel::Warn, "warn", os.str());
+    detail::emit(LogLevel::Warn, "warn",
+                 concat(std::forward<Args>(args)...));
 }
 
 /** Informative status message. */
@@ -89,9 +100,8 @@ template <typename... Args>
 void
 inform(Args &&...args)
 {
-    std::ostringstream os;
-    (os << ... << args);
-    detail::emit(LogLevel::Info, "info", os.str());
+    detail::emit(LogLevel::Info, "info",
+                 concat(std::forward<Args>(args)...));
 }
 
 /** High-volume debugging message. */
@@ -101,9 +111,8 @@ debugLog(Args &&...args)
 {
     if (logLevel() < LogLevel::Debug)
         return;
-    std::ostringstream os;
-    (os << ... << args);
-    detail::emit(LogLevel::Debug, "debug", os.str());
+    detail::emit(LogLevel::Debug, "debug",
+                 concat(std::forward<Args>(args)...));
 }
 
 } // namespace dbpsim

@@ -1,7 +1,5 @@
 #include "dram/addr_map.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace dbpsim {
@@ -9,33 +7,23 @@ namespace dbpsim {
 std::string
 DramGeometry::validate() const
 {
+    // Messages are built only on the failing branch. A power of two is
+    // nonzero, and line <= page <= row leaves no further relation to
+    // check.
     auto pot = [](std::uint64_t v) { return isPowerOfTwo(v); };
-    std::ostringstream os;
     if (!pot(channels) || !pot(ranksPerChannel) || !pot(banksPerRank) ||
         !pot(subarraysPerBank) || !pot(rowsPerBank) || !pot(rowBytes) ||
-        !pot(lineBytes) || !pot(pageBytes)) {
-        os << "all geometry fields must be powers of two";
-        return os.str();
-    }
-    if (subarraysPerBank == 0 || subarraysPerBank > rowsPerBank) {
-        os << "subarraysPerBank (" << subarraysPerBank
-           << ") must be in [1, rowsPerBank]";
-        return os.str();
-    }
-    if (lineBytes > pageBytes) {
-        os << "lineBytes (" << lineBytes << ") > pageBytes ("
-           << pageBytes << ")";
-        return os.str();
-    }
-    if (pageBytes > rowBytes) {
-        os << "pageBytes (" << pageBytes << ") > rowBytes (" << rowBytes
-           << "): a frame would span rows";
-        return os.str();
-    }
-    if (rowBytes < lineBytes) {
-        os << "rowBytes < lineBytes";
-        return os.str();
-    }
+        !pot(lineBytes) || !pot(pageBytes))
+        return "all geometry fields must be powers of two";
+    if (subarraysPerBank > rowsPerBank)
+        return concat("subarraysPerBank (", subarraysPerBank,
+                      ") must be in [1, rowsPerBank]");
+    if (lineBytes > pageBytes)
+        return concat("lineBytes (", lineBytes, ") > pageBytes (",
+                      pageBytes, ")");
+    if (pageBytes > rowBytes)
+        return concat("pageBytes (", pageBytes, ") > rowBytes (", rowBytes,
+                      "): a frame would span rows");
     return std::string();
 }
 

@@ -241,6 +241,7 @@ DramChannel::issue(DramCmd cmd, unsigned rank_idx, unsigned bank_idx,
                                           now + timing_.tRFC);
         r.refreshDoneAt = now + timing_.tRFC;
         r.refreshDueAt += timing_.tREFI;
+        r.lastRefreshAt = now;
         statRefreshes.inc();
         return 0;
     }

@@ -40,6 +40,9 @@ struct RankState
     /** End of an in-flight refresh (banks blocked until then). */
     Cycle refreshDoneAt = 0;
 
+    /** Issue time of the last REF (0 before the first). */
+    Cycle lastRefreshAt = 0;
+
     /** True while a REFRESH is in flight at @p now. */
     bool refreshing(Cycle now) const { return now < refreshDoneAt; }
 };

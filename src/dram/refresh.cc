@@ -34,42 +34,47 @@ RefreshEngine::RefreshEngine(DramChannel &channel,
     : channel_(channel), demand_(demand), params_(params),
       trefi_(channel.timing().tREFI),
       pullInWindow_(static_cast<Cycle>(params.postponeMax) *
-                    channel.timing().tREFI)
+                    channel.timing().tREFI),
+      banksPerRank_(channel.numBanks()),
+      banks_(static_cast<std::size_t>(channel.numRanks()) *
+             channel.numBanks())
 {
     DBP_ASSERT(params_.postponeMax >= 1,
                "refresh postpone window must be >= 1");
-    const unsigned ranks = channel_.numRanks();
-    const unsigned banks = channel_.numBanks();
-    bankDueAt_.resize(ranks);
-    rankLastRefreshAt_.assign(ranks, 0);
-    bankLastRefreshAt_.resize(ranks);
-    blocked_.resize(ranks);
-    boost_.resize(ranks);
-    for (unsigned r = 0; r < ranks; ++r) {
-        bankDueAt_[r].resize(banks);
-        bankLastRefreshAt_[r].assign(banks, 0);
-        blocked_[r].assign(banks, 0);
-        boost_[r].assign(banks, 0);
-        // Stagger the REFpb slots evenly across the whole channel so
-        // per-bank refreshes spread over tREFI instead of bursting
-        // (the per-bank analogue of the channel's rank stagger).
-        for (unsigned b = 0; b < banks; ++b)
-            bankDueAt_[r][b] = trefi_ *
-                (static_cast<Cycle>(r) * banks + b + 1) /
-                (static_cast<Cycle>(ranks) * banks);
-    }
+    // Stagger the REFpb slots evenly across the whole channel so
+    // per-bank refreshes spread over tREFI instead of bursting (the
+    // per-bank analogue of the channel's rank stagger).
+    const Cycle n = banks_.size();
+    for (Cycle i = 0; i < n; ++i)
+        banks_[i].dueAt = trefi_ * (i + 1) / n;
+}
+
+const RefreshEngine::BankRefresh &
+RefreshEngine::checkedSlot(unsigned rank, unsigned bank) const
+{
+    DBP_ASSERT(rank < channel_.numRanks() && bank < banksPerRank_,
+               "refresh: bank (" << rank << ", " << bank
+                                 << ") out of range");
+    return slot(rank, bank);
+}
+
+void
+RefreshEngine::setRank(unsigned rank, bool BankRefresh::*flag, bool value)
+{
+    for (unsigned b = 0; b < banksPerRank_; ++b)
+        slot(rank, b).*flag = value;
 }
 
 bool
 RefreshEngine::blocks(unsigned rank, unsigned bank) const
 {
-    return blocked_.at(rank).at(bank) != 0;
+    return slot(rank, bank).blocked;
 }
 
 bool
 RefreshEngine::drainBoost(unsigned rank, unsigned bank) const
 {
-    return boost_.at(rank).at(bank) != 0;
+    return slot(rank, bank).boost;
 }
 
 std::uint64_t
@@ -84,7 +89,7 @@ RefreshEngine::debt(unsigned rank, Cycle now) const
 std::uint64_t
 RefreshEngine::bankDebt(unsigned rank, unsigned bank, Cycle now) const
 {
-    Cycle due = bankDueAt_.at(rank).at(bank);
+    Cycle due = checkedSlot(rank, bank).dueAt;
     if (now < due)
         return 0;
     return (now - due) / trefi_ + 1;
@@ -93,19 +98,19 @@ RefreshEngine::bankDebt(unsigned rank, unsigned bank, Cycle now) const
 Cycle
 RefreshEngine::bankDueAt(unsigned rank, unsigned bank) const
 {
-    return bankDueAt_.at(rank).at(bank);
+    return checkedSlot(rank, bank).dueAt;
 }
 
 Cycle
 RefreshEngine::lastRefreshAt(unsigned rank) const
 {
-    return rankLastRefreshAt_.at(rank);
+    return channel_.rank(rank).lastRefreshAt;
 }
 
 Cycle
 RefreshEngine::lastRefreshAt(unsigned rank, unsigned bank) const
 {
-    return bankLastRefreshAt_.at(rank).at(bank);
+    return checkedSlot(rank, bank).lastRefreshAt;
 }
 
 bool
@@ -163,16 +168,15 @@ RefreshEngine::tickAllBank(Cycle now)
     // as the rank is quiet. One command per cycle across all ranks.
     bool issued = false;
     for (unsigned r = 0; r < channel_.numRanks(); ++r) {
-        blocked_[r].assign(blocked_[r].size(), 0);
+        setRank(r, &BankRefresh::blocked, false);
         if (!channel_.refreshPending(r, now))
             continue;
-        blocked_[r].assign(blocked_[r].size(), 1);
+        setRank(r, &BankRefresh::blocked, true);
         if (issued)
             continue; // command bus already used this cycle.
         if (channel_.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
             channel_.issue(DramCmd::Refresh, r, 0, 0, now);
-            rankLastRefreshAt_[r] = now;
-            blocked_[r].assign(blocked_[r].size(), 0);
+            setRank(r, &BankRefresh::blocked, false);
             issued = true;
             continue;
         }
@@ -187,8 +191,8 @@ RefreshEngine::tickAllBankAware(Cycle now)
 {
     bool issued = false;
     for (unsigned r = 0; r < channel_.numRanks(); ++r) {
-        blocked_[r].assign(blocked_[r].size(), 0);
-        boost_[r].assign(boost_[r].size(), 0);
+        setRank(r, &BankRefresh::blocked, false);
+        setRank(r, &BankRefresh::boost, false);
         const RankState &rs = channel_.rank(r);
         if (rs.refreshing(now))
             continue;
@@ -197,18 +201,17 @@ RefreshEngine::tickAllBankAware(Cycle now)
         // exhausting the postpone window, and the device bound on the
         // issue-to-issue gap (after a pull-in burst the schedule is
         // ahead, but the gap clock keeps running).
-        const Cycle gap = now - rankLastRefreshAt_[r];
+        const Cycle gap = now - rs.lastRefreshAt;
 
         if (d >= params_.postponeMax || gap >= pullInWindow_) {
             // Postpone window exhausted: force, as the non-aware
             // engine would from the start.
-            blocked_[r].assign(blocked_[r].size(), 1);
+            setRank(r, &BankRefresh::blocked, true);
             if (issued)
                 continue;
             if (channel_.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
                 channel_.issue(DramCmd::Refresh, r, 0, 0, now);
-                rankLastRefreshAt_[r] = now;
-                blocked_[r].assign(blocked_[r].size(), 0);
+                setRank(r, &BankRefresh::blocked, false);
                 issued = true;
                 continue;
             }
@@ -217,7 +220,7 @@ RefreshEngine::tickAllBankAware(Cycle now)
             continue;
         }
         if (d + 1 >= params_.postponeMax || gap + trefi_ >= pullInWindow_)
-            boost_[r].assign(boost_[r].size(), 1);
+            setRank(r, &BankRefresh::boost, true);
         if (issued)
             continue;
         // Pull refreshes into idle periods; catch up on owed ones.
@@ -228,7 +231,6 @@ RefreshEngine::tickAllBankAware(Cycle now)
             continue; // 8-deep pull-in credit already banked.
         if (channel_.canIssue(DramCmd::Refresh, r, 0, 0, now)) {
             channel_.issue(DramCmd::Refresh, r, 0, 0, now);
-            rankLastRefreshAt_[r] = now;
             issued = true;
         } else if (owed && prechargeOne(r, now)) {
             issued = true;
@@ -243,8 +245,8 @@ RefreshEngine::tickPerBank(Cycle now)
     const unsigned banks = channel_.numBanks();
     bool issued = false;
     for (unsigned r = 0; r < channel_.numRanks(); ++r) {
-        blocked_[r].assign(banks, 0);
-        boost_[r].assign(banks, 0);
+        setRank(r, &BankRefresh::blocked, false);
+        setRank(r, &BankRefresh::boost, false);
         const RankState &rs = channel_.rank(r);
         if (rs.refreshing(now))
             continue; // defensive: an all-bank REF is in flight.
@@ -259,10 +261,11 @@ RefreshEngine::tickPerBank(Cycle now)
         const std::uint64_t force_at = params_.aware
             ? static_cast<std::uint64_t>(params_.postponeMax) : 1;
         auto forceDeadline = [&](unsigned b) {
-            Cycle by_debt = bankDueAt_[r][b] + (force_at - 1) * trefi_;
+            const BankRefresh &br = slot(r, b);
+            Cycle by_debt = br.dueAt + (force_at - 1) * trefi_;
             if (!params_.aware)
                 return by_debt;
-            Cycle by_gap = bankLastRefreshAt_[r][b] + pullInWindow_;
+            Cycle by_gap = br.lastRefreshAt + pullInWindow_;
             return by_debt < by_gap ? by_debt : by_gap;
         };
         unsigned forced = banks;
@@ -277,11 +280,12 @@ RefreshEngine::tickPerBank(Cycle now)
             // One tREFI from the forced bound: drain with priority.
             for (unsigned b = 0; b < banks; ++b)
                 if (now + trefi_ >= forceDeadline(b))
-                    boost_[r][b] = 1;
+                    slot(r, b).boost = true;
         }
         if (forced != banks) {
             unsigned b = forced;
-            blocked_[r][b] = 1;
+            BankRefresh &br = slot(r, b);
+            br.blocked = true;
             if (issued)
                 continue;
             const SubarrayState *open = channel_.openSubarray(r, b);
@@ -295,9 +299,9 @@ RefreshEngine::tickPerBank(Cycle now)
             } else if (channel_.canIssue(DramCmd::RefreshBank, r, b, 0,
                                          now)) {
                 channel_.issue(DramCmd::RefreshBank, r, b, 0, now);
-                bankDueAt_[r][b] += trefi_;
-                bankLastRefreshAt_[r][b] = now;
-                blocked_[r][b] = 0;
+                br.dueAt += trefi_;
+                br.lastRefreshAt = now;
+                br.blocked = false;
                 issued = true;
             }
             continue;
@@ -311,7 +315,7 @@ RefreshEngine::tickPerBank(Cycle now)
         unsigned pick = banks;
         unsigned open_pick = banks;
         for (unsigned b = 0; b < banks; ++b) {
-            Cycle due = bankDueAt_[r][b];
+            Cycle due = slot(r, b).dueAt;
             const bool owed = now >= due;
             if (!owed && due - now >= pullInWindow_)
                 continue;
@@ -323,20 +327,21 @@ RefreshEngine::tickPerBank(Cycle now)
             const SubarrayState *open = channel_.openSubarray(r, b);
             if (!open &&
                 channel_.canIssue(DramCmd::RefreshBank, r, b, 0, now)) {
-                if (pick == banks || due < bankDueAt_[r][pick])
+                if (pick == banks || due < slot(r, pick).dueAt)
                     pick = b;
             } else if (open && owed &&
                        channel_.canIssue(DramCmd::Precharge, r, b,
                                          open->row, now)) {
                 if (open_pick == banks ||
-                    due < bankDueAt_[r][open_pick])
+                    due < slot(r, open_pick).dueAt)
                     open_pick = b;
             }
         }
         if (pick != banks) {
             channel_.issue(DramCmd::RefreshBank, r, pick, 0, now);
-            bankDueAt_[r][pick] += trefi_;
-            bankLastRefreshAt_[r][pick] = now;
+            BankRefresh &br = slot(r, pick);
+            br.dueAt += trefi_;
+            br.lastRefreshAt = now;
             issued = true;
         } else if (open_pick != banks) {
             channel_.issue(DramCmd::Precharge, r, open_pick,

@@ -31,6 +31,11 @@
  * matters after a pull-in burst has banked credit — the refresh turns
  * urgent and is forced exactly like the non-aware variant, so the
  * JEDEC window is never exceeded.
+ *
+ * State: one flat array of per-bank records, [rank * banks + bank],
+ * built once by the constructor (REFpb deadline, last REFpb issue,
+ * the hold-back and drain-boost flags tick() recomputes). Rank-level
+ * REF times live in the channel's RankState.
  */
 
 #ifndef DBPSIM_DRAM_REFRESH_HH
@@ -166,27 +171,42 @@ class RefreshEngine
     bool rankIdle(unsigned rank) const;
     bool bankIdle(unsigned rank, unsigned bank) const;
 
+    /** Per-bank refresh state. */
+    struct BankRefresh
+    {
+        Cycle dueAt = 0;         ///< next REFpb deadline; += tREFI.
+        /** Issue time of the last REFpb. The device bounds the
+         *  issue-to-issue gap, so aware engines force on elapsed time
+         *  as well as on schedule debt. */
+        Cycle lastRefreshAt = 0;
+        bool blocked = false;    ///< hold requests back (tick()).
+        bool boost = false;      ///< aware-mode drain priority (tick()).
+    };
+
+    BankRefresh &slot(unsigned rank, unsigned bank)
+    {
+        return banks_[rank * banksPerRank_ + bank];
+    }
+    const BankRefresh &slot(unsigned rank, unsigned bank) const
+    {
+        return banks_[rank * banksPerRank_ + bank];
+    }
+
+    /** Bounds-checked slot() for the introspection accessors. */
+    const BankRefresh &checkedSlot(unsigned rank, unsigned bank) const;
+
+    /** Set @p flag on every bank of @p rank. */
+    void setRank(unsigned rank, bool BankRefresh::*flag, bool value);
+
     DramChannel &channel_;
     const RefreshDemandView *demand_;
     RefreshParams params_;
 
     Cycle trefi_;
     Cycle pullInWindow_; ///< postponeMax * tREFI.
+    unsigned banksPerRank_;
 
-    /** Per-bank REFpb deadlines, [rank][bank]; advance by tREFI. */
-    std::vector<std::vector<Cycle>> bankDueAt_;
-
-    /** Issue time of the last REF per rank / REFpb per bank. The
-     *  device bounds the *issue-to-issue* gap, so aware engines force
-     *  on elapsed time as well as on schedule debt. */
-    std::vector<Cycle> rankLastRefreshAt_;
-    std::vector<std::vector<Cycle>> bankLastRefreshAt_;
-
-    /** Hold-back masks recomputed by tick(), [rank][bank]. */
-    std::vector<std::vector<char>> blocked_;
-
-    /** Aware-mode drain-priority masks, [rank][bank]. */
-    std::vector<std::vector<char>> boost_;
+    std::vector<BankRefresh> banks_; ///< [rank * banksPerRank_ + bank].
 };
 
 } // namespace dbpsim

@@ -1,7 +1,5 @@
 #include "dram/timing.hh"
 
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace dbpsim {
@@ -9,65 +7,42 @@ namespace dbpsim {
 std::string
 DramTiming::validate() const
 {
-    std::ostringstream os;
-    if (tRC < tRAS + tRP) {
-        os << name << ": tRC (" << tRC << ") < tRAS + tRP ("
-           << tRAS + tRP << ")";
-        return os.str();
-    }
-    if (tFAW < tRRD) {
-        os << name << ": tFAW (" << tFAW << ") < tRRD (" << tRRD << ")";
-        return os.str();
-    }
-    if (tBURST == 0 || tCL == 0 || tCWL == 0 || tRCD == 0 || tRP == 0) {
-        os << name << ": zero-valued core timing parameter";
-        return os.str();
-    }
-    if (tWR == 0 || tWTR == 0 || tRTP == 0) {
-        os << name << ": zero-valued write/read recovery parameter "
-           << "(tWR/tWTR/tRTP)";
-        return os.str();
-    }
-    if (tCCD < tBURST) {
-        os << name << ": tCCD (" << tCCD << ") < tBURST (" << tBURST
-           << ") — column commands would overlap data bursts";
-        return os.str();
-    }
-    if (tRTRS > tCL) {
-        os << name << ": tRTRS (" << tRTRS << ") > tCL (" << tCL
-           << ") — rank-to-rank switch is a bus turnaround of a few "
-           << "cycles; a larger value is almost certainly a unit "
-           << "mistake";
-        return os.str();
-    }
-    if (tREFI <= tRFC) {
-        os << name << ": tREFI (" << tREFI << ") <= tRFC (" << tRFC << ")";
-        return os.str();
-    }
-    if (tREFI > 0 && tRFC == 0) {
-        os << name << ": tREFI (" << tREFI << ") set but tRFC is zero";
-        return os.str();
-    }
-    if (tRFCpb > tRFC) {
-        os << name << ": tRFCpb (" << tRFCpb << ") > tRFC (" << tRFC
-           << ")";
-        return os.str();
-    }
-    if (tRFC > 0 && tRFCpb == 0) {
-        os << name << ": tRFC (" << tRFC << ") set but tRFCpb is zero";
-        return os.str();
-    }
-    if (tSA == 0) {
-        os << name << ": tSA is zero — SA_SEL relinking the designated "
-           << "subarray takes at least one cycle";
-        return os.str();
-    }
-    if (tSA > tRCD) {
-        os << name << ": tSA (" << tSA << ") > tRCD (" << tRCD
-           << ") — relinking an already-activated subarray's latch "
-           << "must be cheaper than a full activate";
-        return os.str();
-    }
+    // Each message is built only on its failing branch: a System
+    // validates every channel's timing on the success path.
+    if (tRC < tRAS + tRP)
+        return concat(name, ": tRC (", tRC, ") < tRAS + tRP (",
+                      tRAS + tRP, ")");
+    if (tFAW < tRRD)
+        return concat(name, ": tFAW (", tFAW, ") < tRRD (", tRRD, ")");
+    if (tBURST == 0 || tCL == 0 || tCWL == 0 || tRCD == 0 || tRP == 0)
+        return concat(name, ": zero-valued core timing parameter");
+    if (tWR == 0 || tWTR == 0 || tRTP == 0)
+        return concat(name, ": zero-valued write/read recovery parameter "
+                      "(tWR/tWTR/tRTP)");
+    if (tCCD < tBURST)
+        return concat(name, ": tCCD (", tCCD, ") < tBURST (", tBURST,
+                      ") — column commands would overlap data bursts");
+    if (tRTRS > tCL)
+        return concat(name, ": tRTRS (", tRTRS, ") > tCL (", tCL,
+                      ") — rank-to-rank switch is a bus turnaround of a "
+                      "few cycles; a larger value is almost certainly a "
+                      "unit mistake");
+    if (tREFI <= tRFC)
+        return concat(name, ": tREFI (", tREFI, ") <= tRFC (", tRFC, ")");
+    if (tREFI > 0 && tRFC == 0)
+        return concat(name, ": tREFI (", tREFI, ") set but tRFC is zero");
+    if (tRFCpb > tRFC)
+        return concat(name, ": tRFCpb (", tRFCpb, ") > tRFC (", tRFC,
+                      ")");
+    if (tRFC > 0 && tRFCpb == 0)
+        return concat(name, ": tRFC (", tRFC, ") set but tRFCpb is zero");
+    if (tSA == 0)
+        return concat(name, ": tSA is zero — SA_SEL relinking the "
+                      "designated subarray takes at least one cycle");
+    if (tSA > tRCD)
+        return concat(name, ": tSA (", tSA, ") > tRCD (", tRCD,
+                      ") — relinking an already-activated subarray's "
+                      "latch must be cheaper than a full activate");
     return std::string();
 }
 

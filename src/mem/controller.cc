@@ -15,7 +15,9 @@ MemoryController::MemoryController(unsigned channel_id,
     : map_(map), params_(params),
       channel_(map.geometry(), timing, channel_id, params.salp),
       refresh_(channel_, this, params.refresh), scheduler_(scheduler),
-      profiler_(profiler)
+      profiler_(profiler), threads_(params.numThreads),
+      banks_(static_cast<std::size_t>(channel_.numRanks()) *
+             channel_.numBanks())
 {
     DBP_ASSERT(scheduler_ != nullptr, "controller needs a scheduler");
     DBP_ASSERT(params_.numThreads > 0, "controller needs >= 1 thread");
@@ -23,11 +25,6 @@ MemoryController::MemoryController(unsigned channel_id,
                "write watermarks inverted");
     DBP_ASSERT(params_.writeHiWatermark <= params_.writeQueueSize,
                "write hi watermark exceeds queue size");
-    threadStats_.resize(params_.numThreads);
-    latencyHist_.assign(params_.numThreads, StatHistogram(128, 8.0));
-    lastColumnUse_.assign(static_cast<std::size_t>(
-        map.geometry().ranksPerChannel) * map.geometry().banksPerRank,
-        0);
     readQ_.reserve(params_.readQueueSize);
     writeQ_.reserve(params_.writeQueueSize);
     scheduler_->attachQueueView(this);
@@ -45,7 +42,7 @@ MemoryController::threadStats(ThreadId tid) const
     DBP_ASSERT(tid >= 0 &&
                static_cast<unsigned>(tid) < params_.numThreads,
                "bad thread id " << tid);
-    return threadStats_[static_cast<unsigned>(tid)];
+    return threads_[static_cast<unsigned>(tid)].stats;
 }
 
 const StatHistogram &
@@ -54,7 +51,7 @@ MemoryController::latencyHistogram(ThreadId tid) const
     DBP_ASSERT(tid >= 0 &&
                static_cast<unsigned>(tid) < params_.numThreads,
                "bad thread id " << tid);
-    return latencyHist_[static_cast<unsigned>(tid)];
+    return threads_[static_cast<unsigned>(tid)].latency;
 }
 
 bool
@@ -159,13 +156,13 @@ MemoryController::completeReads(Cycle now)
 
                 if (f.tid >= 0 && static_cast<unsigned>(f.tid) <
                         params_.numThreads) {
-                    auto &ts = threadStats_[static_cast<unsigned>(f.tid)];
-                    ++ts.readsCompleted;
-                    ts.readLatencySum += f.doneAt - f.enqueueCycle;
+                    ThreadService &ts =
+                        threads_[static_cast<unsigned>(f.tid)];
+                    ++ts.stats.readsCompleted;
+                    ts.stats.readLatencySum += f.doneAt - f.enqueueCycle;
                     if (from_dram)
-                        latencyHist_[static_cast<unsigned>(f.tid)]
-                            .sample(static_cast<double>(
-                                f.doneAt - f.enqueueCycle));
+                        ts.latency.sample(static_cast<double>(
+                            f.doneAt - f.enqueueCycle));
                 }
                 if (from_dram && profiler_ && f.tid >= 0)
                     profiler_->onOutstandingDec(f.tid, f.color, f.row);
@@ -298,16 +295,15 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
     // Pass 1: per (rank, bank), find the highest-priority queued
     // request that is a row hit — the precharge guard. A request may
     // close a row only if it outranks every queued hit on that row.
-    const unsigned banks_total = channel_.numRanks() * channel_.numBanks();
-    std::vector<const MemRequest *> best_hit(banks_total, nullptr);
+    for (BankSlot &b : banks_)
+        b.bestHit = nullptr;
     for (const auto &req : queue) {
         if (!ctx.rowHit(req))
             continue;
-        unsigned slot = req.coord.rank * channel_.numBanks() +
-            req.coord.bank;
-        if (!best_hit[slot] ||
-            scheduler_->higherPriority(req, *best_hit[slot], ctx))
-            best_hit[slot] = &req;
+        const MemRequest *&best =
+            bankSlot(req.coord.rank, req.coord.bank).bestHit;
+        if (!best || scheduler_->higherPriority(req, *best, ctx))
+            best = &req;
     }
 
     // Pass 2: among requests whose next command is legal right now,
@@ -321,9 +317,8 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
             continue;
         NextCmd nc = nextCommandFor(req, queue);
         if (nc.cmd == DramCmd::Precharge) {
-            unsigned slot = req.coord.rank * channel_.numBanks() +
-                req.coord.bank;
-            const MemRequest *hit = best_hit[slot];
+            const MemRequest *hit =
+                bankSlot(req.coord.rank, req.coord.bank).bestHit;
             if (hit && !scheduler_->higherPriority(req, *hit, ctx))
                 continue; // would destroy a higher-priority row hit.
         }
@@ -373,12 +368,12 @@ MemoryController::issueFromQueue(std::vector<MemRequest> &queue,
         Cycle done = channel_.issue(best_cmd.cmd, req.coord.rank,
                                     req.coord.bank, best_cmd.row, now,
                                     req.tid);
-        lastColumnUse_[req.coord.rank * channel_.numBanks() +
-                       req.coord.bank] = now;
+        bankSlot(req.coord.rank, req.coord.bank).lastColumnUse = now;
         row_hit_service = !req.triggeredAct;
         if (req.tid >= 0 &&
             static_cast<unsigned>(req.tid) < params_.numThreads) {
-            auto &ts = threadStats_[static_cast<unsigned>(req.tid)];
+            ControllerThreadStats &ts =
+                threads_[static_cast<unsigned>(req.tid)].stats;
             if (row_hit_service)
                 ++ts.rowHits;
             else
@@ -421,7 +416,7 @@ MemoryController::closeIdleRows(Cycle now)
             const SubarrayState *open = channel_.openSubarray(r, b);
             if (!open)
                 continue;
-            Cycle last = lastColumnUse_[r * channel_.numBanks() + b];
+            Cycle last = bankSlot(r, b).lastColumnUse;
             if (now < last + params_.rowIdleTimeout)
                 continue;
             // Keep the row open while anyone still wants it.

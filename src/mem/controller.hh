@@ -238,11 +238,28 @@ class MemoryController : public QueueView, public RefreshDemandView
      *  precharge was issued. */
     bool closeIdleRows(Cycle now);
 
-    std::vector<ControllerThreadStats> threadStats_;
-    std::vector<StatHistogram> latencyHist_;
+    /** Per-thread service record. */
+    struct ThreadService
+    {
+        ControllerThreadStats stats;
+        StatHistogram latency{128, 8.0}; ///< bus cycles, 8-cycle buckets.
+    };
+    std::vector<ThreadService> threads_;
 
-    /** Last column-command cycle per (rank, bank) (OpenAdaptive). */
-    std::vector<Cycle> lastColumnUse_;
+    /** Per-(rank, bank) record, [rank * banks + bank]. */
+    struct BankSlot
+    {
+        Cycle lastColumnUse = 0; ///< last column command (OpenAdaptive).
+        /** issueFromQueue() scratch: highest-priority queued row hit
+         *  (the precharge guard); cleared on every call. */
+        const MemRequest *bestHit = nullptr;
+    };
+    std::vector<BankSlot> banks_;
+
+    BankSlot &bankSlot(unsigned rank, unsigned bank)
+    {
+        return banks_[rank * channel_.numBanks() + bank];
+    }
     bool writeMode_ = false;
     std::uint64_t nextReqId_ = 0;
 };

@@ -4,36 +4,18 @@
 
 namespace dbpsim {
 
-namespace {
-constexpr std::uint64_t kColdRow = ~0ULL;
-} // namespace
-
 ThreadProfiler::ThreadProfiler(unsigned num_threads, unsigned num_colors)
-    : numThreads_(num_threads), numColors_(num_colors)
+    : numColors_(num_colors), threads_(num_threads),
+      slots_(static_cast<std::size_t>(num_threads) * num_colors)
 {
     DBP_ASSERT(num_threads > 0, "profiler needs >= 1 thread");
     DBP_ASSERT(num_colors > 0, "profiler needs >= 1 color");
-    shadowRow_.assign(static_cast<std::size_t>(num_threads) * num_colors,
-                      kColdRow);
-    outstanding_.assign(shadowRow_.size(), 0);
-    busyBanks_.assign(num_threads, 0);
-    reqs_.assign(num_threads, 0);
-    shadowHits_.assign(num_threads, 0);
-    blpSum_.assign(num_threads, 0);
-    blpCycles_.assign(num_threads, 0);
-    totalOutstanding_.assign(num_threads, 0);
-    rowsOutstanding_.resize(num_threads);
-    busyRows_.assign(num_threads, 0);
-    mlpSum_.assign(num_threads, 0);
-    mlpCycles_.assign(num_threads, 0);
-    drpSum_.assign(num_threads, 0);
-    drpCycles_.assign(num_threads, 0);
 }
 
 std::size_t
 ThreadProfiler::idx(ThreadId tid) const
 {
-    DBP_ASSERT(tid >= 0 && static_cast<unsigned>(tid) < numThreads_,
+    DBP_ASSERT(tid >= 0 && static_cast<std::size_t>(tid) < threads_.size(),
                "profiler: bad thread id " << tid);
     return static_cast<std::size_t>(tid);
 }
@@ -43,11 +25,12 @@ ThreadProfiler::onRequest(ThreadId tid, unsigned color, std::uint64_t row)
 {
     std::size_t t = idx(tid);
     DBP_ASSERT(color < numColors_, "profiler: color out of range");
-    std::size_t slot = t * numColors_ + color;
-    if (shadowRow_[slot] == row)
-        ++shadowHits_[t];
-    shadowRow_[slot] = row;
-    ++reqs_[t];
+    ThreadState &ts = threads_[t];
+    ColorSlot &cs = slots_[t * numColors_ + color];
+    if (cs.shadowRow == row)
+        ++ts.shadowHits;
+    cs.shadowRow = row;
+    ++ts.reqs;
 }
 
 namespace {
@@ -67,12 +50,12 @@ ThreadProfiler::onOutstandingInc(ThreadId tid, unsigned color,
 {
     std::size_t t = idx(tid);
     DBP_ASSERT(color < numColors_, "profiler: color out of range");
-    std::size_t slot = t * numColors_ + color;
-    if (outstanding_[slot]++ == 0)
-        ++busyBanks_[t];
-    ++totalOutstanding_[t];
-    if (count_rows && rowsOutstanding_[t][rowKey(color, row)]++ == 0)
-        ++busyRows_[t];
+    ThreadState &ts = threads_[t];
+    if (slots_[t * numColors_ + color].outstanding++ == 0)
+        ++ts.busyBanks;
+    ++ts.outstanding;
+    if (count_rows && ts.rows[rowKey(color, row)]++ == 0)
+        ++ts.busyRows;
 }
 
 void
@@ -81,52 +64,43 @@ ThreadProfiler::onOutstandingDec(ThreadId tid, unsigned color,
 {
     std::size_t t = idx(tid);
     DBP_ASSERT(color < numColors_, "profiler: color out of range");
-    std::size_t slot = t * numColors_ + color;
-    DBP_ASSERT(outstanding_[slot] > 0,
+    ThreadState &ts = threads_[t];
+    ColorSlot &cs = slots_[t * numColors_ + color];
+    DBP_ASSERT(cs.outstanding > 0,
                "profiler: outstanding underflow t" << tid << " c" << color);
-    if (--outstanding_[slot] == 0) {
-        DBP_ASSERT(busyBanks_[t] > 0, "profiler: busyBanks underflow");
-        --busyBanks_[t];
+    if (--cs.outstanding == 0) {
+        DBP_ASSERT(ts.busyBanks > 0, "profiler: busyBanks underflow");
+        --ts.busyBanks;
     }
-    DBP_ASSERT(totalOutstanding_[t] > 0,
-               "profiler: total outstanding underflow");
-    --totalOutstanding_[t];
+    DBP_ASSERT(ts.outstanding > 0, "profiler: total outstanding underflow");
+    --ts.outstanding;
 
     if (!count_rows)
         return;
-    auto it = rowsOutstanding_[t].find(rowKey(color, row));
-    DBP_ASSERT(it != rowsOutstanding_[t].end() && it->second > 0,
+    auto it = ts.rows.find(rowKey(color, row));
+    DBP_ASSERT(it != ts.rows.end() && it->second > 0,
                "profiler: row-outstanding underflow");
     if (--it->second == 0) {
-        rowsOutstanding_[t].erase(it);
-        DBP_ASSERT(busyRows_[t] > 0, "profiler: busyRows underflow");
-        --busyRows_[t];
+        ts.rows.erase(it);
+        DBP_ASSERT(ts.busyRows > 0, "profiler: busyRows underflow");
+        --ts.busyRows;
     }
 }
 
 void
 ThreadProfiler::tick()
 {
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        if (busyBanks_[t] > 0) {
-            blpSum_[t] += busyBanks_[t];
-            ++blpCycles_[t];
-        }
-        if (totalOutstanding_[t] > 0) {
-            mlpSum_[t] += totalOutstanding_[t];
-            ++mlpCycles_[t];
-        }
-        if (busyRows_[t] > 0) {
-            drpSum_[t] += busyRows_[t];
-            ++drpCycles_[t];
-        }
+    for (ThreadState &ts : threads_) {
+        ts.blp.sample(ts.busyBanks);
+        ts.mlp.sample(ts.outstanding);
+        ts.drp.sample(ts.busyRows);
     }
 }
 
 unsigned
 ThreadProfiler::busyBanks(ThreadId tid) const
 {
-    return busyBanks_[idx(tid)];
+    return threads_[idx(tid)].busyBanks;
 }
 
 std::vector<ThreadMemProfile>
@@ -134,46 +108,35 @@ ThreadProfiler::closeInterval(
     const std::vector<std::uint64_t> &instructions,
     const std::vector<std::uint64_t> &footprint_pages)
 {
-    DBP_ASSERT(instructions.size() == numThreads_,
+    DBP_ASSERT(instructions.size() == threads_.size(),
                "closeInterval: instruction vector size mismatch");
-    DBP_ASSERT(footprint_pages.size() == numThreads_,
+    DBP_ASSERT(footprint_pages.size() == threads_.size(),
                "closeInterval: footprint vector size mismatch");
 
-    std::vector<ThreadMemProfile> out(numThreads_);
-    for (unsigned t = 0; t < numThreads_; ++t) {
+    std::vector<ThreadMemProfile> out(threads_.size());
+    for (std::size_t t = 0; t < threads_.size(); ++t) {
+        ThreadState &ts = threads_[t];
         ThreadMemProfile &p = out[t];
-        p.requests = reqs_[t];
+        p.requests = ts.reqs;
         p.instructions = instructions[t];
         p.footprintPages = footprint_pages[t];
         p.mpki = instructions[t] == 0
             ? 0.0
-            : 1000.0 * static_cast<double>(reqs_[t]) /
+            : 1000.0 * static_cast<double>(ts.reqs) /
                   static_cast<double>(instructions[t]);
-        p.rowBufferHitRate = reqs_[t] == 0
+        p.rowBufferHitRate = ts.reqs == 0
             ? 0.0
-            : static_cast<double>(shadowHits_[t]) /
-                  static_cast<double>(reqs_[t]);
-        p.blp = blpCycles_[t] == 0
-            ? 0.0
-            : static_cast<double>(blpSum_[t]) /
-                  static_cast<double>(blpCycles_[t]);
-        p.mlp = mlpCycles_[t] == 0
-            ? 0.0
-            : static_cast<double>(mlpSum_[t]) /
-                  static_cast<double>(mlpCycles_[t]);
-        p.rowParallelism = drpCycles_[t] == 0
-            ? 0.0
-            : static_cast<double>(drpSum_[t]) /
-                  static_cast<double>(drpCycles_[t]);
+            : static_cast<double>(ts.shadowHits) /
+                  static_cast<double>(ts.reqs);
+        p.blp = ts.blp.mean();
+        p.mlp = ts.mlp.mean();
+        p.rowParallelism = ts.drp.mean();
 
-        reqs_[t] = 0;
-        shadowHits_[t] = 0;
-        blpSum_[t] = 0;
-        blpCycles_[t] = 0;
-        mlpSum_[t] = 0;
-        mlpCycles_[t] = 0;
-        drpSum_[t] = 0;
-        drpCycles_[t] = 0;
+        ts.reqs = 0;
+        ts.shadowHits = 0;
+        ts.blp = {};
+        ts.mlp = {};
+        ts.drp = {};
     }
     return out;
 }

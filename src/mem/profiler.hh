@@ -14,6 +14,11 @@
  *    cycle the thread has outstanding requests.
  *
  * One profiler instance serves all channels (BLP spans channels).
+ *
+ * State: one array of per-thread records (outstanding counts and the
+ * interval accumulators) and one flat [thread * colors + color] array
+ * of per-(thread, color) slots (shadow row, outstanding count), both
+ * built by the constructor.
  */
 
 #ifndef DBPSIM_MEM_PROFILER_HH
@@ -74,7 +79,10 @@ class ThreadProfiler
                   const std::vector<std::uint64_t> &footprint_pages);
 
     /** Threads being profiled. */
-    unsigned numThreads() const { return numThreads_; }
+    unsigned numThreads() const
+    {
+        return static_cast<unsigned>(threads_.size());
+    }
 
     /** Current outstanding busy-bank count of a thread (tests). */
     unsigned busyBanks(ThreadId tid) const;
@@ -82,38 +90,58 @@ class ThreadProfiler
   private:
     std::size_t idx(ThreadId tid) const;
 
-    unsigned numThreads_;
+    /** Per-(thread, color) state. */
+    struct ColorSlot
+    {
+        std::uint64_t shadowRow = ~0ULL; ///< last row; ~0 = cold.
+        std::uint32_t outstanding = 0; ///< requests in flight.
+    };
+
+    /** Sums sampled each cycle the thread had a nonzero count. */
+    struct Sampled
+    {
+        std::uint64_t sum = 0;
+        std::uint64_t cycles = 0;
+
+        void sample(std::uint32_t v)
+        {
+            if (v > 0) {
+                sum += v;
+                ++cycles;
+            }
+        }
+        double mean() const
+        {
+            return cycles == 0 ? 0.0
+                               : static_cast<double>(sum) /
+                                     static_cast<double>(cycles);
+        }
+    };
+
+    /** Per-thread state. */
+    struct ThreadState
+    {
+        std::uint32_t busyBanks = 0;   ///< colors with outstanding > 0.
+        std::uint32_t outstanding = 0; ///< requests in flight, all banks.
+        std::uint32_t busyRows = 0;    ///< distinct (color, row) targets.
+
+        /** Outstanding per (color, row) key. */
+        // dbplint:allow(unordered-decl) reason=never iterated; only point find/insert/erase with busyRows maintained incrementally, so hash order cannot reach results
+        std::unordered_map<std::uint64_t, std::uint32_t> rows;
+
+        /** @name Interval accumulators (reset by closeInterval). */
+        /// @{
+        std::uint64_t reqs = 0;
+        std::uint64_t shadowHits = 0;
+        Sampled blp;
+        Sampled mlp;
+        Sampled drp;
+        /// @}
+    };
+
     unsigned numColors_;
-
-    /** Shadow row buffers: last row per (thread, color); kNever = cold. */
-    std::vector<std::uint64_t> shadowRow_; ///< [thread * colors + color].
-
-    /** Outstanding requests per (thread, color). */
-    std::vector<std::uint32_t> outstanding_;
-
-    /** Banks with outstanding_ > 0, per thread (incremental). */
-    std::vector<std::uint32_t> busyBanks_;
-
-    /** Outstanding requests per thread (all banks). */
-    std::vector<std::uint32_t> totalOutstanding_;
-
-    /** Outstanding per (color, row) key, per thread. */
-    // dbplint:allow(unordered-decl) reason=never iterated; only point find/insert/erase with the busyRows_ counter maintained incrementally, so hash order cannot reach results
-    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>>
-        rowsOutstanding_;
-
-    /** Distinct (color, row) targets outstanding, per thread. */
-    std::vector<std::uint32_t> busyRows_;
-
-    /** Interval accumulators. */
-    std::vector<std::uint64_t> reqs_;
-    std::vector<std::uint64_t> shadowHits_;
-    std::vector<std::uint64_t> blpSum_;
-    std::vector<std::uint64_t> blpCycles_;
-    std::vector<std::uint64_t> mlpSum_;
-    std::vector<std::uint64_t> mlpCycles_;
-    std::vector<std::uint64_t> drpSum_;
-    std::vector<std::uint64_t> drpCycles_;
+    std::vector<ThreadState> threads_;
+    std::vector<ColorSlot> slots_; ///< [thread * colors + color].
 };
 
 } // namespace dbpsim

@@ -5,32 +5,26 @@
 namespace dbpsim {
 
 FrameAllocator::FrameAllocator(const AddressMap &map)
-    : map_(map), colorAware_(map.supportsBankColoring())
+    : map_(map), colorAware_(map.supportsBankColoring()),
+      framesPerColor_(colorAware_ ? map.framesPerColor()
+                                  : map.geometry().totalFrames()),
+      colors_(colorAware_ ? map.numColors() : 1)
 {
-    if (colorAware_) {
-        framesPerColor_ = map.framesPerColor();
-        bump_.assign(map.numColors(), 0);
-        freeLists_.resize(map.numColors());
-    } else {
-        framesPerColor_ = map.geometry().totalFrames();
-        bump_.assign(1, 0);
-        freeLists_.resize(1);
-    }
 }
 
 bool
 FrameAllocator::allocateInColor(unsigned color, std::uint64_t &frame)
 {
-    DBP_ASSERT(color < bump_.size(), "color out of range");
-    auto &fl = freeLists_[color];
-    if (!fl.empty()) {
-        frame = fl.back();
-        fl.pop_back();
+    DBP_ASSERT(color < colors_.size(), "color out of range");
+    ColorFrames &cf = colors_[color];
+    if (!cf.released.empty()) {
+        frame = cf.released.back();
+        cf.released.pop_back();
         statAllocs.inc();
         return true;
     }
-    if (bump_[color] < framesPerColor_) {
-        std::uint64_t idx = bump_[color]++;
+    if (cf.bump < framesPerColor_) {
+        std::uint64_t idx = cf.bump++;
         frame = colorAware_ ? map_.frameOfColorIndex(color, idx) : idx;
         statAllocs.inc();
         return true;
@@ -73,7 +67,7 @@ FrameAllocator::allocateAny()
 {
     std::uint64_t frame;
     if (colorAware_) {
-        for (unsigned c = 0; c < bump_.size(); ++c)
+        for (unsigned c = 0; c < colors_.size(); ++c)
             if (allocateInColor(c, frame))
                 return frame;
     } else {
@@ -87,22 +81,23 @@ void
 FrameAllocator::release(std::uint64_t frame)
 {
     unsigned color = colorAware_ ? map_.colorOfFrame(frame) : 0;
-    freeLists_[color].push_back(frame);
+    colors_[color].released.push_back(frame);
     statReleases.inc();
 }
 
 std::uint64_t
 FrameAllocator::freeInColor(unsigned color) const
 {
-    DBP_ASSERT(color < bump_.size(), "color out of range");
-    return (framesPerColor_ - bump_[color]) + freeLists_[color].size();
+    DBP_ASSERT(color < colors_.size(), "color out of range");
+    const ColorFrames &cf = colors_[color];
+    return (framesPerColor_ - cf.bump) + cf.released.size();
 }
 
 std::uint64_t
 FrameAllocator::totalFree() const
 {
     std::uint64_t total = 0;
-    for (unsigned c = 0; c < bump_.size(); ++c)
+    for (unsigned c = 0; c < colors_.size(); ++c)
         total += freeInColor(c);
     return total;
 }

@@ -71,7 +71,7 @@ class FrameAllocator
     /** Number of colors (1 when not color-aware). */
     unsigned numColors() const
     {
-        return static_cast<unsigned>(bump_.size());
+        return static_cast<unsigned>(colors_.size());
     }
 
     /** Allocations performed (stat). */
@@ -88,11 +88,13 @@ class FrameAllocator
     bool colorAware_;
     std::uint64_t framesPerColor_;
 
-    /** Next virgin frame index per color. */
-    std::vector<std::uint64_t> bump_;
-
-    /** Released frames per color (LIFO). */
-    std::vector<std::vector<std::uint64_t>> freeLists_;
+    /** Per-color frame state. */
+    struct ColorFrames
+    {
+        std::uint64_t bump = 0;              ///< next virgin frame index.
+        std::vector<std::uint64_t> released; ///< freed frames (LIFO).
+    };
+    std::vector<ColorFrames> colors_;
 };
 
 } // namespace dbpsim

@@ -7,35 +7,25 @@
 namespace dbpsim {
 
 OsMemory::OsMemory(const AddressMap &map, unsigned num_threads)
-    : map_(map), allocator_(map), pageBytes_(map.geometry().pageBytes)
+    : map_(map), allocator_(map), pageBytes_(map.geometry().pageBytes),
+      threads_(num_threads)
 {
     DBP_ASSERT(num_threads > 0, "OsMemory needs >= 1 thread");
-    tables_.resize(num_threads);
-    cursors_.assign(num_threads, 0);
-
-    // Default: every thread may use every color (unpartitioned).
-    std::vector<unsigned> all;
     if (allocator_.colorAware()) {
-        all.resize(map.numColors());
+        allColors_.resize(map.numColors());
         for (unsigned c = 0; c < map.numColors(); ++c)
-            all[c] = c;
+            allColors_[c] = c;
+        // Stagger the initial round-robin cursors so co-running threads
+        // do not allocate their first pages in the same bank sequence.
+        for (unsigned t = 0; t < num_threads; ++t)
+            threads_[t].cursor = (t * 3) % allColors_.size();
     }
-    colorSets_.assign(num_threads, all);
-    fallbackWarned_.assign(num_threads, 0);
-    lazyEnabled_.assign(num_threads, false);
-    nonconformingCount_.assign(num_threads, 0);
-    lazyTokens_.assign(num_threads, 0);
-
-    // Stagger the initial round-robin cursors so co-running threads do
-    // not allocate their first pages in the same bank sequence.
-    for (unsigned t = 0; t < num_threads; ++t)
-        cursors_[t] = all.empty() ? 0 : (t * 3) % all.size();
 }
 
 std::size_t
 OsMemory::idx(ThreadId tid) const
 {
-    DBP_ASSERT(tid >= 0 && static_cast<std::size_t>(tid) < tables_.size(),
+    DBP_ASSERT(tid >= 0 && static_cast<std::size_t>(tid) < threads_.size(),
                "thread id " << tid << " out of range");
     return static_cast<std::size_t>(tid);
 }
@@ -50,13 +40,13 @@ OsMemory::notifyFrame(ThreadId tid, std::uint64_t frame)
 std::uint64_t
 OsMemory::allocateFor(ThreadId tid)
 {
-    std::size_t t = idx(tid);
+    ThreadVm &vm = threads_[idx(tid)];
+    const std::vector<unsigned> &colors = colorsOf(vm);
     bool fell_back = false;
-    std::uint64_t frame =
-        allocator_.allocate(colorSets_[t], cursors_[t], &fell_back);
-    if (fell_back && !fallbackWarned_[t]) {
-        fallbackWarned_[t] = 1;
-        warn("thread ", tid, ": color set (", colorSets_[t].size(),
+    std::uint64_t frame = allocator_.allocate(colors, vm.cursor, &fell_back);
+    if (fell_back && !vm.fallbackWarned) {
+        vm.fallbackWarned = true;
+        warn("thread ", tid, ": color set (", colors.size(),
              " colors) exhausted; allocating outside the partition "
              "(reported once per thread; see fallback_allocs)");
     }
@@ -66,34 +56,34 @@ OsMemory::allocateFor(ThreadId tid)
 Addr
 OsMemory::translate(ThreadId tid, Addr vaddr)
 {
-    std::size_t t = idx(tid);
+    ThreadVm &vm = threads_[idx(tid)];
     std::uint64_t vpage = vaddr / pageBytes_;
     std::uint64_t offset = vaddr % pageBytes_;
 
     std::uint64_t frame;
-    if (!tables_[t].lookup(vpage, frame)) {
+    if (!vm.table.lookup(vpage, frame)) {
         if (allocator_.colorAware())
             frame = allocateFor(tid);
         else
             frame = allocator_.allocateAny();
-        tables_[t].map(vpage, frame);
+        vm.table.map(vpage, frame);
         notifyFrame(tid, frame);
-    } else if (lazyEnabled_[t] && nonconformingCount_[t] > 0 &&
-               ++lazyTokens_[t] >= lazyPeriod_) {
+    } else if (vm.lazyEnabled && vm.nonconforming > 0 &&
+               ++vm.lazyTokens >= lazyPeriod_) {
         // Lazy migrate-on-touch: a re-accessed page outside the color
         // set is remapped into it, at most once per lazyPeriod_
         // translations (bounds copy traffic under random access).
         unsigned color = map_.colorOfFrame(frame);
-        const auto &set = colorSets_[t];
+        const auto &set = colorsOf(vm);
         if (!std::binary_search(set.begin(), set.end(), color)) {
             std::uint64_t moved = allocateFor(tid);
-            tables_[t].remap(vpage, moved);
+            vm.table.remap(vpage, moved);
             notifyFrame(tid, moved);
             allocator_.release(frame);
             pendingMoves_.emplace_back(color,
                                        map_.colorOfFrame(moved));
-            --nonconformingCount_[t];
-            lazyTokens_[t] = 0;
+            --vm.nonconforming;
+            vm.lazyTokens = 0;
             statMigratedPages.inc();
             frame = moved;
         }
@@ -104,14 +94,14 @@ OsMemory::translate(ThreadId tid, Addr vaddr)
 void
 OsMemory::setLazyMigration(ThreadId tid, bool enabled)
 {
-    std::size_t t = idx(tid);
+    ThreadVm &vm = threads_[idx(tid)];
     if (!allocator_.colorAware()) {
-        lazyEnabled_[t] = false;
+        vm.lazyEnabled = false;
         return;
     }
-    lazyEnabled_[t] = enabled;
+    vm.lazyEnabled = enabled;
     if (enabled)
-        nonconformingCount_[t] = nonconformingPages(tid);
+        vm.nonconforming = nonconformingPages(tid);
 }
 
 std::vector<std::pair<unsigned, unsigned>>
@@ -132,7 +122,7 @@ OsMemory::setLazyPeriod(std::uint32_t period)
 void
 OsMemory::setColorSet(ThreadId tid, std::vector<unsigned> colors)
 {
-    std::size_t t = idx(tid);
+    ThreadVm &vm = threads_[idx(tid)];
     if (!allocator_.colorAware()) {
         warn("setColorSet ignored: address map cannot color frames");
         return;
@@ -142,35 +132,35 @@ OsMemory::setColorSet(ThreadId tid, std::vector<unsigned> colors)
         DBP_ASSERT(c < map_.numColors(), "color " << c << " out of range");
     std::sort(colors.begin(), colors.end());
     colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-    colorSets_[t] = std::move(colors);
-    cursors_[t] %= colorSets_[t].size();
+    vm.colors = std::move(colors);
+    vm.cursor %= vm.colors.size();
     if (partObserver_)
-        partObserver_->onColorSet(tid, colorSets_[t]);
-    if (lazyEnabled_[t])
-        nonconformingCount_[t] = nonconformingPages(tid);
+        partObserver_->onColorSet(tid, vm.colors);
+    if (vm.lazyEnabled)
+        vm.nonconforming = nonconformingPages(tid);
 }
 
 const std::vector<unsigned> &
 OsMemory::colorSet(ThreadId tid) const
 {
-    return colorSets_[idx(tid)];
+    return colorsOf(threads_[idx(tid)]);
 }
 
 std::size_t
 OsMemory::mappedPages(ThreadId tid) const
 {
-    return tables_[idx(tid)].size();
+    return threads_[idx(tid)].table.size();
 }
 
 std::uint64_t
 OsMemory::nonconformingPages(ThreadId tid) const
 {
-    std::size_t t = idx(tid);
-    if (!allocator_.colorAware())
+    const ThreadVm &vm = threads_[idx(tid)];
+    if (!allocator_.colorAware() || vm.table.size() == 0)
         return 0;
-    const auto &set = colorSets_[t];
+    const auto &set = colorsOf(vm);
     std::uint64_t count = 0;
-    tables_[t].forEach([&](std::uint64_t, std::uint64_t frame) {
+    vm.table.forEach([&](std::uint64_t, std::uint64_t frame) {
         unsigned color = map_.colorOfFrame(frame);
         if (!std::binary_search(set.begin(), set.end(), color))
             ++count;
@@ -181,17 +171,17 @@ OsMemory::nonconformingPages(ThreadId tid) const
 MigrationResult
 OsMemory::migrate(ThreadId tid, std::uint64_t max_pages)
 {
-    std::size_t t = idx(tid);
+    ThreadVm &vm = threads_[idx(tid)];
     MigrationResult result;
     if (!allocator_.colorAware())
         return result;
 
-    const auto &set = colorSets_[t];
+    const auto &set = colorsOf(vm);
 
     // Collect nonconforming pages first (mutating inside forEach is
     // not allowed).
     std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
-    tables_[t].forEach([&](std::uint64_t vpage, std::uint64_t frame) {
+    vm.table.forEach([&](std::uint64_t vpage, std::uint64_t frame) {
         unsigned color = map_.colorOfFrame(frame);
         if (!std::binary_search(set.begin(), set.end(), color))
             victims.emplace_back(vpage, frame);
@@ -201,7 +191,7 @@ OsMemory::migrate(ThreadId tid, std::uint64_t max_pages)
         if (max_pages != 0 && result.pages >= max_pages)
             break;
         std::uint64_t new_frame = allocateFor(tid);
-        tables_[t].remap(vpage, new_frame);
+        vm.table.remap(vpage, new_frame);
         notifyFrame(tid, new_frame);
         allocator_.release(old_frame);
         result.moves.emplace_back(map_.colorOfFrame(old_frame),
@@ -209,10 +199,10 @@ OsMemory::migrate(ThreadId tid, std::uint64_t max_pages)
         ++result.pages;
     }
     statMigratedPages.inc(result.pages);
-    if (lazyEnabled_[t]) {
-        DBP_ASSERT(nonconformingCount_[t] >= result.pages,
+    if (vm.lazyEnabled) {
+        DBP_ASSERT(vm.nonconforming >= result.pages,
                    "lazy nonconforming count out of sync");
-        nonconformingCount_[t] -= result.pages;
+        vm.nonconforming -= result.pages;
     }
     return result;
 }

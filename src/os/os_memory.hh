@@ -4,6 +4,12 @@
  * color-aware frame allocator. This is the enforcement point of every
  * partitioning policy — a thread's pages land only in its assigned
  * bank colors, and repartitioning migrates nonconforming pages.
+ *
+ * State: one array of per-thread records (page table, color set,
+ * allocation cursor, lazy-migration state), built by the constructor.
+ * A thread starts with an empty set, meaning every color: all threads
+ * share one every-color list until the partition manager (or a test)
+ * gives them their own set through setColorSet().
  */
 
 #ifndef DBPSIM_OS_OS_MEMORY_HH
@@ -94,7 +100,7 @@ class OsMemory
     /** Number of threads. */
     unsigned numThreads() const
     {
-        return static_cast<unsigned>(tables_.size());
+        return static_cast<unsigned>(threads_.size());
     }
 
     /** OS page size in bytes. */
@@ -114,8 +120,30 @@ class OsMemory
     }
 
   private:
+    /** Per-thread virtual-memory state. */
+    struct ThreadVm
+    {
+        PageTable table;
+        /** Allowed colors, sorted; empty = every color (allColors_). */
+        std::vector<unsigned> colors;
+        std::size_t cursor = 0; ///< round-robin color cursor.
+        bool fallbackWarned = false; ///< one-shot exhaustion warning.
+        /** @name Lazy migrate-on-touch state. */
+        /// @{
+        bool lazyEnabled = false;
+        std::uint32_t lazyTokens = 0;
+        std::uint64_t nonconforming = 0;
+        /// @}
+    };
+
     /** Bounds-check a thread id. */
     std::size_t idx(ThreadId tid) const;
+
+    /** Colors thread record @p vm may allocate from. */
+    const std::vector<unsigned> &colorsOf(const ThreadVm &vm) const
+    {
+        return vm.colors.empty() ? allColors_ : vm.colors;
+    }
 
     /** Report a frame grant to the partition observer (if any). */
     void notifyFrame(ThreadId tid, std::uint64_t frame);
@@ -131,21 +159,12 @@ class OsMemory
     std::uint64_t pageBytes_;
     PartitionObserver *partObserver_ = nullptr;
 
-    std::vector<PageTable> tables_;
-    std::vector<std::vector<unsigned>> colorSets_;
-    std::vector<std::size_t> cursors_; ///< round-robin color cursor.
+    /** Every color in order (empty when the map cannot color). */
+    std::vector<unsigned> allColors_;
+    std::vector<ThreadVm> threads_;
 
-    /** Per-thread one-shot color-exhaustion warning latch. */
-    std::vector<char> fallbackWarned_;
-
-    /** @name Lazy migrate-on-touch state. */
-    /// @{
-    std::vector<bool> lazyEnabled_;
-    std::vector<std::uint64_t> nonconformingCount_;
-    std::vector<std::uint32_t> lazyTokens_;
     std::uint32_t lazyPeriod_ = 8;
     std::vector<std::pair<unsigned, unsigned>> pendingMoves_;
-    /// @}
 };
 
 } // namespace dbpsim

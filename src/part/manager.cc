@@ -58,7 +58,7 @@ PartitionManager::onInterval(const std::vector<ThreadMemProfile> &profiles,
     auto next = policy_->onInterval(profiles);
     if (next) {
         statRepartitions.inc();
-        apply(*next);
+        apply(std::move(*next));
     }
     // The background copy engine runs every interval, continuing any
     // migration the per-interval budget could not finish earlier.
@@ -66,22 +66,21 @@ PartitionManager::onInterval(const std::vector<ThreadMemProfile> &profiles,
 }
 
 void
-PartitionManager::apply(const PartitionAssignment &assignment)
+PartitionManager::apply(PartitionAssignment assignment)
 {
     DBP_ASSERT(assignment.size() == os_.numThreads(),
                "assignment size != thread count");
-    current_ = assignment;
-
-    if (!map_.supportsBankColoring())
-        return; // "none" policy on a non-colorable map: nothing to do.
-
-    for (unsigned t = 0; t < assignment.size(); ++t) {
-        auto tid = static_cast<ThreadId>(t);
-        os_.setColorSet(tid, assignment[t]);
-        os_.setLazyMigration(
-            tid, params_.migration == MigrationMode::Lazy &&
-                     policy_->shouldMigrate(t));
+    // "none" policy on a non-colorable map: the OS has nothing to do.
+    if (map_.supportsBankColoring()) {
+        for (unsigned t = 0; t < assignment.size(); ++t) {
+            auto tid = static_cast<ThreadId>(t);
+            os_.setColorSet(tid, assignment[t]);
+            os_.setLazyMigration(
+                tid, params_.migration == MigrationMode::Lazy &&
+                         policy_->shouldMigrate(t));
+        }
     }
+    current_ = std::move(assignment);
 }
 
 void

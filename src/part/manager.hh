@@ -98,7 +98,7 @@ class PartitionManager
 
   private:
     /** Push @p assignment into the OS. */
-    void apply(const PartitionAssignment &assignment);
+    void apply(PartitionAssignment assignment);
 
     /** One background-migration step within the global budget. */
     void migrateStep(Cycle mem_now);

@@ -48,6 +48,8 @@ System::System(const SystemParams &params,
     ControllerParams cparams = params_.controller;
     cparams.numThreads = params_.numCores;
     std::vector<MemoryController *> raw_controllers;
+    controllers_.reserve(params_.geometry.channels);
+    raw_controllers.reserve(params_.geometry.channels);
     for (unsigned ch = 0; ch < params_.geometry.channels; ++ch) {
         controllers_.push_back(std::make_unique<MemoryController>(
             ch, map_, timing, cparams, scheduler_.get(),
@@ -72,10 +74,13 @@ System::System(const SystemParams &params,
     if (params_.cacheEnabled) {
         CacheParams cp = params_.cache;
         cp.lineBytes = params_.geometry.lineBytes;
+        cache_ = std::make_unique<CacheSide>();
+        cache_->caches.reserve(params_.numCores);
         for (unsigned c = 0; c < params_.numCores; ++c)
-            caches_.push_back(std::make_unique<SetAssocCache>(cp));
+            cache_->caches.emplace_back(cp);
     }
 
+    cores_.reserve(params_.numCores);
     for (unsigned c = 0; c < params_.numCores; ++c) {
         cores_.push_back(std::make_unique<TraceCore>(
             static_cast<ThreadId>(c), params_.core, sources[c], this));
@@ -91,10 +96,10 @@ System::issueLoad(ThreadId tid, Addr vaddr, MemClient *client,
 {
     Addr paddr = os_->translate(tid, vaddr);
 
-    if (params_.cacheEnabled) {
-        SetAssocCache &cache = *caches_.at(static_cast<unsigned>(tid));
+    if (cache_) {
+        SetAssocCache &cache = cache_->caches.at(static_cast<unsigned>(tid));
         if (cache.readHit(paddr)) {
-            pendingHits_.push_back(PendingHit{
+            cache_->hits.push_back(PendingHit{
                 cpuCycle_ + cache.params().hitLatency, client, tag});
             return true;
         }
@@ -106,7 +111,7 @@ System::issueLoad(ThreadId tid, Addr vaddr, MemClient *client,
             return false;
         CacheAccessResult res = cache.access(paddr, false);
         if (res.writeback)
-            pendingWritebacks_.push_back(
+            cache_->writebacks.push_back(
                 PendingWriteback{tid, res.writebackAddr});
         return true;
     }
@@ -121,11 +126,11 @@ System::issueStore(ThreadId tid, Addr vaddr)
 {
     Addr paddr = os_->translate(tid, vaddr);
 
-    if (params_.cacheEnabled) {
-        SetAssocCache &cache = *caches_.at(static_cast<unsigned>(tid));
+    if (cache_) {
+        SetAssocCache &cache = cache_->caches.at(static_cast<unsigned>(tid));
         CacheAccessResult res = cache.access(paddr, true);
         if (res.writeback)
-            pendingWritebacks_.push_back(
+            cache_->writebacks.push_back(
                 PendingWriteback{tid, res.writebackAddr});
         return true; // stores absorbed by the write-back cache.
     }
@@ -155,22 +160,25 @@ System::intervalBoundary()
 void
 System::tickCpu()
 {
-    // Deliver due cache hits.
-    while (!pendingHits_.empty() &&
-           pendingHits_.front().dueCpu <= cpuCycle_) {
-        PendingHit h = pendingHits_.front();
-        pendingHits_.pop_front();
-        if (h.client)
-            h.client->readComplete(h.tag);
-    }
+    if (cache_) {
+        // Deliver due cache hits.
+        std::deque<PendingHit> &hits = cache_->hits;
+        while (!hits.empty() && hits.front().dueCpu <= cpuCycle_) {
+            PendingHit h = hits.front();
+            hits.pop_front();
+            if (h.client)
+                h.client->readComplete(h.tag);
+        }
 
-    // Retry pending writebacks (one attempt per cycle).
-    if (!pendingWritebacks_.empty()) {
-        const PendingWriteback &wb = pendingWritebacks_.front();
-        DramCoord coord = map_.decode(wb.paddr);
-        if (controllers_.at(coord.channel)
-                ->enqueueWrite(wb.paddr, wb.tid, memCycle_))
-            pendingWritebacks_.pop_front();
+        // Retry pending writebacks (one attempt per cycle).
+        std::deque<PendingWriteback> &wbs = cache_->writebacks;
+        if (!wbs.empty()) {
+            const PendingWriteback &wb = wbs.front();
+            DramCoord coord = map_.decode(wb.paddr);
+            if (controllers_.at(coord.channel)
+                    ->enqueueWrite(wb.paddr, wb.tid, memCycle_))
+                wbs.pop_front();
+        }
     }
 
     for (auto &core : cores_)

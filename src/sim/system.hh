@@ -142,24 +142,33 @@ class System : public CoreMemoryInterface
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     std::unique_ptr<PartitionManager> partMgr_;
     std::vector<std::unique_ptr<TraceCore>> cores_;
-    std::vector<std::unique_ptr<SetAssocCache>> caches_;
 
-    /** Cache-hit completions waiting for their due CPU cycle. */
+    /** Cache-hit completion waiting for its due CPU cycle. */
     struct PendingHit
     {
         Cycle dueCpu;
         MemClient *client;
         std::uint64_t tag;
     };
-    std::deque<PendingHit> pendingHits_;
 
-    /** Writebacks that could not enter a write queue yet. */
+    /** Writeback that could not enter a write queue yet. */
     struct PendingWriteback
     {
         ThreadId tid;
         Addr paddr;
     };
-    std::deque<PendingWriteback> pendingWritebacks_;
+
+    /** The private caches and the traffic in flight between them and
+     *  the controllers. */
+    struct CacheSide
+    {
+        std::vector<SetAssocCache> caches; ///< one per core.
+        std::deque<PendingHit> hits;       ///< due-cycle order.
+        std::deque<PendingWriteback> writebacks;
+    };
+
+    /** Built by the constructor iff params.cacheEnabled. */
+    std::unique_ptr<CacheSide> cache_;
 
     Cycle cpuCycle_ = 0;
     Cycle memCycle_ = 0;

@@ -31,15 +31,42 @@ smallGeometry()
 
 TEST(Geometry, Validation)
 {
-    DramGeometry g = smallGeometry();
-    EXPECT_TRUE(g.validate().empty());
+    // Every failing branch of DramGeometry::validate(), with the exact
+    // user-facing message (recorded before validate() stopped
+    // formatting on the success path).
+    EXPECT_EQ(DramGeometry{}.validate(), "");
+    EXPECT_EQ(smallGeometry().validate(), "");
 
-    g.channels = 3; // not a power of two.
-    EXPECT_FALSE(g.validate().empty());
+    for (unsigned DramGeometry::*field :
+         {&DramGeometry::channels, &DramGeometry::ranksPerChannel,
+          &DramGeometry::banksPerRank, &DramGeometry::subarraysPerBank}) {
+        DramGeometry g = smallGeometry();
+        g.*field = 3;
+        EXPECT_EQ(g.validate(), "all geometry fields must be powers of two");
+        g.*field = 0;
+        EXPECT_EQ(g.validate(), "all geometry fields must be powers of two");
+    }
+    for (std::uint64_t DramGeometry::*field :
+         {&DramGeometry::rowsPerBank, &DramGeometry::rowBytes,
+          &DramGeometry::lineBytes, &DramGeometry::pageBytes}) {
+        DramGeometry g = smallGeometry();
+        g.*field = 3;
+        EXPECT_EQ(g.validate(), "all geometry fields must be powers of two");
+    }
+
+    DramGeometry g = smallGeometry();
+    g.subarraysPerBank = 2048;
+    EXPECT_EQ(g.validate(),
+              "subarraysPerBank (2048) must be in [1, rowsPerBank]");
+
+    g = smallGeometry();
+    g.lineBytes = 8192;
+    EXPECT_EQ(g.validate(), "lineBytes (8192) > pageBytes (4096)");
 
     g = smallGeometry();
     g.pageBytes = 16384; // page larger than row.
-    EXPECT_FALSE(g.validate().empty());
+    EXPECT_EQ(g.validate(),
+              "pageBytes (16384) > rowBytes (8192): a frame would span rows");
 }
 
 TEST(Geometry, DerivedQuantities)

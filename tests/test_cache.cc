@@ -129,30 +129,37 @@ TEST(Cache, ValidateAcceptsGoodGeometries)
 
 TEST(Cache, ValidateNamesTheProblem)
 {
+    // Every failing branch of CacheParams::validate(), with the exact
+    // user-facing message (recorded before validate() stopped
+    // formatting on the success path).
     CacheParams p = tiny();
     p.lineBytes = 48;
-    EXPECT_NE(p.validate().find("power of two"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache line size (48) must be a power of two");
 
     p = tiny();
     p.associativity = 0;
-    EXPECT_NE(p.validate().find("associativity"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache associativity must be >= 1");
 
     p = tiny();
     p.sizeBytes = 1000; // not a whole number of lines.
-    EXPECT_NE(p.validate().find("multiple"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache size (1000) must be a nonzero multiple "
+                            "of line size x assoc (64 x 4)");
 
     p = tiny();
     p.sizeBytes = 0;
-    EXPECT_NE(p.validate().find("multiple"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache size (0) must be a nonzero multiple "
+                            "of line size x assoc (64 x 4)");
 
     p = tiny();
     p.associativity = 3; // 64 lines do not split into 3-way sets.
-    EXPECT_NE(p.validate().find("multiple"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache size (4096) must be a nonzero multiple "
+                            "of line size x assoc (64 x 3)");
 
     p = tiny();
     p.associativity = 1;
     p.sizeBytes = 48 * 64; // 48 sets.
-    EXPECT_NE(p.validate().find("set count"), std::string::npos);
+    EXPECT_EQ(p.validate(), "cache set count must be a power of two "
+                            "(got 48)");
 }
 
 TEST(Cache, RejectsBadParams)

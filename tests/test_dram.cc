@@ -53,28 +53,85 @@ INSTANTIATE_TEST_SUITE_P(All, TimingPresets,
 
 TEST(Timing, InvalidRelationsDetected)
 {
+    // Every failing non-refresh branch of DramTiming::validate(), with
+    // the exact user-facing message (recorded before validate() stopped
+    // formatting on the success path).
+    EXPECT_EQ(ddr3_1600().validate(), "");
+    EXPECT_EQ(ddr3_1333().validate(), "");
+    EXPECT_EQ(ddr3_1066().validate(), "");
+
+    const std::string dash = "—";
     DramTiming t = ddr3_1600();
-    t.tRC = 1; // dbplint:allow(cycle-literal) reason=deliberately violates tRC >= tRAS + tRP to prove validate() rejects it
-    EXPECT_FALSE(t.validate().empty());
+    t.tRC = t.tRAS + t.tRP - 1;
+    EXPECT_EQ(t.validate(), "DDR3-1600: tRC (38) < tRAS + tRP (39)");
+
+    t = ddr3_1333();
+    t.tFAW = t.tRRD - 1;
+    EXPECT_EQ(t.validate(), "DDR3-1333: tFAW (3) < tRRD (4)");
+
+    for (Cycle DramTiming::*field :
+         {&DramTiming::tBURST, &DramTiming::tCL, &DramTiming::tCWL,
+          &DramTiming::tRCD, &DramTiming::tRP}) {
+        t = ddr3_1600();
+        t.*field = 0;
+        EXPECT_EQ(t.validate(),
+                  "DDR3-1600: zero-valued core timing parameter");
+    }
+    for (Cycle DramTiming::*field :
+         {&DramTiming::tWR, &DramTiming::tWTR, &DramTiming::tRTP}) {
+        t = ddr3_1600();
+        t.*field = 0;
+        EXPECT_EQ(t.validate(),
+                  "DDR3-1600: zero-valued write/read recovery parameter "
+                  "(tWR/tWTR/tRTP)");
+    }
 
     t = ddr3_1600();
-    t.tREFI = t.tRFC; // refresh cannot keep up.
-    EXPECT_FALSE(t.validate().empty());
+    t.tCCD = t.tBURST - 1;
+    EXPECT_EQ(t.validate(), "DDR3-1600: tCCD (3) < tBURST (4) " + dash +
+                                " column commands would overlap data "
+                                "bursts");
+
+    t = ddr3_1600();
+    t.tRTRS = t.tCL + 1;
+    EXPECT_EQ(t.validate(),
+              "DDR3-1600: tRTRS (12) > tCL (11) " + dash +
+                  " rank-to-rank switch is a bus turnaround of a few "
+                  "cycles; a larger value is almost certainly a unit "
+                  "mistake");
+
+    t = ddr3_1600();
+    t.tSA = 0;
+    EXPECT_EQ(t.validate(), "DDR3-1600: tSA is zero " + dash +
+                                " SA_SEL relinking the designated "
+                                "subarray takes at least one cycle");
+
+    t = ddr3_1600();
+    t.tSA = t.tRCD + 1;
+    EXPECT_EQ(t.validate(),
+              "DDR3-1600: tSA (12) > tRCD (11) " + dash +
+                  " relinking an already-activated subarray's latch "
+                  "must be cheaper than a full activate");
 }
 
 TEST(Timing, InvalidRefreshRelationsDetected)
 {
+    // The refresh branches of DramTiming::validate(), exact messages.
     DramTiming t = ddr3_1600();
+    t.tREFI = t.tRFC; // refresh cannot keep up.
+    EXPECT_EQ(t.validate(), "DDR3-1600: tREFI (128) <= tRFC (128)");
+
+    t = ddr3_1600();
     t.tRFC = 0; // refresh scheduled (tREFI > 0) but takes no time.
-    EXPECT_FALSE(t.validate().empty());
+    EXPECT_EQ(t.validate(), "DDR3-1600: tREFI (6240) set but tRFC is zero");
 
     t = ddr3_1600();
     t.tRFCpb = t.tRFC + 1; // per-bank refresh slower than all-bank.
-    EXPECT_FALSE(t.validate().empty());
+    EXPECT_EQ(t.validate(), "DDR3-1600: tRFCpb (129) > tRFC (128)");
 
     t = ddr3_1600();
     t.tRFCpb = 0; // all-bank refresh exists but per-bank is free.
-    EXPECT_FALSE(t.validate().empty());
+    EXPECT_EQ(t.validate(), "DDR3-1600: tRFC (128) set but tRFCpb is zero");
 }
 
 TEST(Timing, RefreshPresetValues)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
@@ -359,9 +360,17 @@ TEST(Refresh, SignatureSeparatesRefreshConfigs)
 
 // ---- campaign determinism across --jobs widths ----------------------
 
+/** One refresh configuration of the fig20-shaped miniature. */
+struct ModePoint
+{
+    const char *name;
+    RefreshMode mode;
+    bool aware;
+};
+
 /** A fig20-shaped miniature: refresh modes x schemes on tiny mixes. */
 CampaignSpec
-tinyRefreshSpec()
+tinyRefreshSpec(std::vector<ModePoint> points, bool check)
 {
     std::vector<WorkloadMix> mixes = {{"T1", {"mcf", "gcc"}}};
     std::vector<Scheme> schemes = {schemeByName("FR-FCFS"),
@@ -369,22 +378,13 @@ tinyRefreshSpec()
     CampaignSpec spec;
     spec.name = "tiny-refresh";
     spec.title = "refresh sweep determinism fixture";
-    spec.plan = [mixes, schemes](CampaignPlan &plan,
-                                 CampaignContext &ctx) {
-        struct ModePoint
-        {
-            const char *name;
-            RefreshMode mode;
-            bool aware;
-        };
-        for (const ModePoint &m :
-             {ModePoint{"all-bank", RefreshMode::AllBank, false},
-              ModePoint{"per-bank", RefreshMode::PerBank, false},
-              ModePoint{"darp", RefreshMode::PerBank, true}}) {
+    spec.plan = [mixes, schemes, points, check](CampaignPlan &plan,
+                                                CampaignContext &ctx) {
+        for (const ModePoint &m : points) {
             RunConfig cfg = ctx.config();
             cfg.base.controller.refresh.mode = m.mode;
             cfg.base.controller.refresh.aware = m.aware;
-            cfg.base.protocolCheck = true;
+            cfg.base.protocolCheck = check;
             planMixSweep(plan, cfg, std::string(m.name) + "/", mixes,
                          schemes);
         }
@@ -393,14 +393,25 @@ tinyRefreshSpec()
     return spec;
 }
 
-TEST(RefreshCampaign, ParallelSweepIsBitIdenticalToSerial)
+RunConfig
+tinyRefreshConfig()
 {
     RunConfig rc;
     rc.base.geometry.rowsPerBank = 4096;
     rc.base.profileIntervalCpu = 60'000;
     rc.warmupCpu = 100'000;
     rc.measureCpu = 250'000;
-    CampaignSpec spec = tinyRefreshSpec();
+    return rc;
+}
+
+TEST(RefreshCampaign, ParallelSweepIsBitIdenticalToSerial)
+{
+    RunConfig rc = tinyRefreshConfig();
+    CampaignSpec spec = tinyRefreshSpec(
+        {{"all-bank", RefreshMode::AllBank, false},
+         {"per-bank", RefreshMode::PerBank, false},
+         {"darp", RefreshMode::PerBank, true}},
+        true);
     auto baselines = std::make_shared<AloneBaselineCache>();
 
     CampaignOptions serial;
@@ -424,6 +435,38 @@ TEST(RefreshCampaign, ParallelSweepIsBitIdenticalToSerial)
     Json doc = runCampaign(spec, rc, baselines, parallel, par_out);
     EXPECT_EQ(doc.at("jobs").dump(), ref.at("jobs").dump());
     EXPECT_EQ(doc.at("summary").dump(), ref.at("summary").dump());
+}
+
+TEST(Refresh, ModeDigestsPinned)
+{
+    // Pins every refresh path bit for bit: each value is the hash of
+    // the fig20-shaped miniature's jobs under one mode, recorded before
+    // the engine's per-bank state was flattened into one record array.
+    // The checker is forced off so the digest does not depend on the
+    // build's DBPSIM_CHECK default.
+    const struct
+    {
+        ModePoint point;
+        std::uint64_t digest;
+    } cases[] = {
+        {{"all-bank", RefreshMode::AllBank, false}, 0x5621b04b19b073baULL},
+        {{"all-bank-aware", RefreshMode::AllBank, true}, 0xb14dc2607e3a9e85ULL},
+        {{"per-bank", RefreshMode::PerBank, false}, 0xa0fee5ebdc4b34e6ULL},
+        {{"per-bank-aware", RefreshMode::PerBank, true}, 0xf676270035d99c57ULL},
+    };
+    for (const auto &c : cases) {
+        CampaignSpec spec = tinyRefreshSpec({c.point}, false);
+        auto baselines = std::make_shared<AloneBaselineCache>();
+        CampaignOptions opts;
+        opts.jobs = 1;
+        opts.progress = false;
+        std::ostringstream os;
+        Json doc = runCampaign(spec, tinyRefreshConfig(), baselines, opts,
+                               os);
+        const std::uint64_t digest = hashString(doc.at("jobs").dump());
+        EXPECT_EQ(digest, c.digest)
+            << c.point.name << " digest 0x" << std::hex << digest;
+    }
 }
 
 } // namespace

@@ -11,7 +11,10 @@
  * result document per campaign to <out>/<name>.json. The "result
  * digest" printed per campaign hashes only the deterministic sections
  * (jobs + summary), so comparing a --serial run against a --jobs=N
- * run is a one-line diff even though wall-clock fields differ.
+ * run is a one-line diff even though wall-clock fields differ. Next to
+ * wall_seconds, each document records peak_rss_mb: the process's peak
+ * resident memory (VmHWM) when the campaign finished, so with several
+ * campaigns in one invocation it covers every campaign run so far.
  *
  * Alone-run baselines persist to <out>/alone_cache.json keyed by
  * (application, hardware-config hash); a second invocation on the
@@ -21,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,6 +68,27 @@ resultDigest(const Json &doc)
     std::ostringstream os;
     os << "0x" << std::hex << h;
     return os.str();
+}
+
+/**
+ * Peak resident memory of this process so far, in MiB, from VmHWM in
+ * /proc/self/status (getrusage's ru_maxrss would carry the launcher's
+ * peak across execve). 0 where the file is unavailable.
+ */
+double
+peakRssMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string key;
+    while (status >> key) {
+        if (key == "VmHWM:") {
+            double kib = 0.0;
+            status >> kib;
+            return kib / 1024.0;
+        }
+        status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+    }
+    return 0.0;
 }
 
 /** Total protocol-checker violations across a campaign's jobs. */
@@ -171,6 +196,7 @@ main(int argc, char **argv)
         opts.jobs = jobs;
         opts.progress = progress;
         Json doc = runCampaign(*spec, rc, baselines, opts, std::cout);
+        doc.set("peak_rss_mb", peakRssMb());
 
         std::int64_t violations = totalViolations(doc);
         if (violations > 0) {

@@ -6,13 +6,15 @@
 # fig21 subarray sweeps (fields prefixed fig20_ / fig21_). Run it on
 # each commit of interest and the file becomes the performance history
 # of the campaign layer — wall_seconds tracks executor efficiency,
-# job_seconds_total tracks simulator cost, and the gmean metrics catch
-# accuracy drift. fig20 and fig21 run with the protocol checker on, so
-# the point also certifies the refresh engine and the SALP/MASA
-# subsystem were violation-free at this commit. The config hash and
-# the host (host_cpu, the /proc/cpuinfo "model name"; nproc) are
-# recorded so points from different machine configurations or hosts
-# are never compared by accident.
+# job_seconds_total tracks simulator cost, peak_rss_mb (the
+# dbpsim_bench process's VmHWM; one process per campaign) tracks
+# memory, and the gmean metrics catch accuracy drift. fig20 and fig21
+# run with the protocol checker on, so the point also certifies the
+# refresh engine and the SALP/MASA subsystem were violation-free at
+# this commit. The config hash and the host (host_cpu, the
+# /proc/cpuinfo "model name"; nproc) are recorded so points from
+# different machine configurations or hosts are never compared by
+# accident.
 #
 # Usage: scripts/bench_trajectory.sh [jobs]
 #   jobs   Worker threads for the campaign (default: nproc).
@@ -78,6 +80,7 @@ line = {
     "jobs_count": doc["jobs_count"],
     "wall_seconds": round(doc["wall_seconds"], 3),
     "job_seconds_total": round(doc["job_seconds_total"], 3),
+    "peak_rss_mb": round(doc["peak_rss_mb"], 2),
 }
 for key, value in doc["summary"].items():
     line[key] = round(value, 4) if isinstance(value, float) else value
@@ -85,6 +88,7 @@ for key, value in doc["summary"].items():
 for prefix, path in (("fig20_", sys.argv[2]), ("fig21_", sys.argv[3])):
     sub = json.load(open(path))
     line[prefix + "wall_seconds"] = round(sub["wall_seconds"], 3)
+    line[prefix + "peak_rss_mb"] = round(sub["peak_rss_mb"], 2)
     line[prefix + "job_seconds_total"] = round(
         sub["job_seconds_total"], 3)
     violations = sum(

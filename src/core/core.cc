@@ -8,7 +8,9 @@ namespace dbpsim {
 
 TraceCore::TraceCore(ThreadId tid, CoreParams params, TraceSource *source,
                      CoreMemoryInterface *mem)
-    : tid_(tid), params_(params), source_(source), mem_(mem)
+    : tid_(tid), params_(params), source_(source), mem_(mem),
+      window_(std::size_t{params.windowSize} + 1),
+      storeBuffer_(params.storeBufferSize)
 {
     DBP_ASSERT(source_ != nullptr, "core needs a trace source");
     DBP_ASSERT(mem_ != nullptr, "core needs a memory interface");
@@ -28,17 +30,21 @@ TraceCore::fetch()
     while (windowInstrs_ < params_.windowSize) {
         TraceRecord rec = source_->next();
         if (rec.gap > 0) {
-            Entry bubble;
-            bubble.kind = Entry::Kind::Bubble;
-            bubble.count = rec.gap;
-            window_.push_back(bubble);
+            window_.push_back(Entry{.kind = Entry::Kind::Bubble,
+                                    .count = rec.gap,
+                                    .vaddr = 0,
+                                    .issued = false,
+                                    .completed = false,
+                                    .serial = 0});
             windowInstrs_ += rec.gap;
         }
-        Entry memop;
-        memop.kind = rec.write ? Entry::Kind::Store : Entry::Kind::Load;
-        memop.vaddr = rec.vaddr - rec.vaddr % params_.lineBytes;
-        memop.serial = nextSerial_++;
-        window_.push_back(memop);
+        window_.push_back(Entry{
+            .kind = rec.write ? Entry::Kind::Store : Entry::Kind::Load,
+            .count = 0,
+            .vaddr = rec.vaddr - rec.vaddr % params_.lineBytes,
+            .issued = false,
+            .completed = false,
+            .serial = nextSerial_++});
         windowInstrs_ += 1;
     }
 }

@@ -16,9 +16,9 @@
 #define DBPSIM_CORE_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
@@ -107,15 +107,19 @@ class TraceCore : public MemClient
     /// @}
 
   private:
-    /** One window entry: a bubble run or a memory instruction. */
+    /**
+     * One window entry: a bubble run or a memory instruction. No
+     * member initializers, so building the window writes none of its
+     * slots; fetch() sets every field.
+     */
     struct Entry
     {
-        enum class Kind { Bubble, Load, Store } kind = Kind::Bubble;
-        std::uint64_t count = 0; ///< remaining instructions (bubbles).
-        Addr vaddr = 0;          ///< memory entries.
-        bool issued = false;     ///< load sent to memory / MSHR merged.
-        bool completed = false;  ///< load data returned.
-        std::uint64_t serial = 0; ///< unique id for MSHR attachment.
+        enum class Kind { Bubble, Load, Store } kind;
+        std::uint64_t count; ///< remaining instructions (bubbles).
+        Addr vaddr;          ///< memory entries.
+        bool issued;         ///< load sent to memory / MSHR merged.
+        bool completed;      ///< load data returned.
+        std::uint64_t serial; ///< unique id for MSHR attachment.
     };
 
     /** Fill the window from the trace. */
@@ -138,7 +142,12 @@ class TraceCore : public MemClient
     TraceSource *source_;
     CoreMemoryInterface *mem_;
 
-    std::deque<Entry> window_;
+    /**
+     * At most windowSize + 1 entries: every entry holds at least one
+     * instruction, fetch() runs only while fewer than windowSize are
+     * held, and one trace record adds at most two entries.
+     */
+    Ring<Entry> window_;
     std::uint64_t windowInstrs_ = 0; ///< instructions in the window.
     InstCount retired_ = 0;
     std::uint64_t nextSerial_ = 0;
@@ -153,7 +162,7 @@ class TraceCore : public MemClient
     std::vector<Mshr> mshrs_;
     unsigned mshrInUse_ = 0;
 
-    std::deque<Addr> storeBuffer_;
+    Ring<Addr> storeBuffer_; ///< capacity storeBufferSize.
 };
 
 } // namespace dbpsim

@@ -11,6 +11,10 @@ OsMemory::OsMemory(const AddressMap &map, unsigned num_threads)
       threads_(num_threads)
 {
     DBP_ASSERT(num_threads > 0, "OsMemory needs >= 1 thread");
+    if (map.geometry().totalFrames() > PageTable::kMaxFrames)
+        fatal("OsMemory: ", map.geometry().totalFrames(),
+              " frames do not fit the page table's 32-bit frame field "
+              "(at most ", PageTable::kMaxFrames, ")");
     if (allocator_.colorAware()) {
         allColors_.resize(map.numColors());
         for (unsigned c = 0; c < map.numColors(); ++c)
@@ -156,11 +160,11 @@ std::uint64_t
 OsMemory::nonconformingPages(ThreadId tid) const
 {
     const ThreadVm &vm = threads_[idx(tid)];
-    if (!allocator_.colorAware() || vm.table.size() == 0)
+    if (!allocator_.colorAware())
         return 0;
     const auto &set = colorsOf(vm);
     std::uint64_t count = 0;
-    vm.table.forEach([&](std::uint64_t, std::uint64_t frame) {
+    vm.table.forEachMapped([&](std::uint64_t, std::uint64_t frame) {
         unsigned color = map_.colorOfFrame(frame);
         if (!std::binary_search(set.begin(), set.end(), color))
             ++count;

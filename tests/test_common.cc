@@ -1,15 +1,18 @@
 /**
  * @file
  * Unit tests for the common substrate: config parsing, deterministic
- * RNG, statistics primitives and table rendering.
+ * RNG, the fixed-capacity ring, statistics primitives and table
+ * rendering.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -175,6 +178,45 @@ TEST(Rng, SplitIndependence)
     for (int i = 0; i < 10; ++i)
         differ = differ || (a.next64() != b.next64());
     EXPECT_TRUE(differ);
+}
+
+TEST(Ring, FifoOrderSurvivesWrapAround)
+{
+    // Interleaved pushes and pops walk the head round the buffer many
+    // times; iteration always runs from the oldest element.
+    Ring<int> ring(3);
+    int next_in = 0, next_out = 0;
+    for (int round = 0; round < 20; ++round) {
+        while (ring.size() < 3)
+            ring.push_back(next_in++);
+        std::vector<int> seen;
+        for (int &v : ring)
+            seen.push_back(v);
+        ASSERT_EQ(seen, (std::vector<int>{next_out, next_out + 1,
+                                          next_out + 2}));
+        ring.front() += 100;
+        EXPECT_EQ(*ring.begin(), next_out + 100);
+        ring.pop_front();
+        ++next_out;
+        if (round % 3 == 0) {
+            ring.pop_front();
+            ++next_out;
+        }
+    }
+    while (!ring.empty()) {
+        EXPECT_EQ(ring.front(), next_out++);
+        ring.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_FALSE(ring.begin() != ring.end());
+}
+
+TEST(Ring, OverflowPanics)
+{
+    Ring<int> ring(2);
+    ring.push_back(1);
+    ring.push_back(2);
+    EXPECT_DEATH(ring.push_back(3), "ring of 2 overflowed");
 }
 
 TEST(Stats, ScalarBasics)

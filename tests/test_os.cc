@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "os/os_memory.hh"
@@ -30,7 +33,7 @@ geo()
     return g;
 }
 
-TEST(PageTable, MapLookupUnmap)
+TEST(PageTable, MapLookupRemap)
 {
     PageTable pt;
     std::uint64_t frame = 0;
@@ -42,8 +45,6 @@ TEST(PageTable, MapLookupUnmap)
     pt.remap(5, 200);
     pt.lookup(5, frame);
     EXPECT_EQ(frame, 200u);
-    pt.unmap(5);
-    EXPECT_FALSE(pt.lookup(5, frame));
 }
 
 TEST(PageTable, DoubleMapPanics)
@@ -66,6 +67,142 @@ TEST(PageTable, ForEachVisitsAll)
     });
     EXPECT_EQ(sum_v, 6u);
     EXPECT_EQ(sum_f, 60u);
+}
+
+TEST(PageTable, FramesAreThirtyTwoBits)
+{
+    PageTable pt;
+    std::uint64_t top = PageTable::kMaxFrames - 1;
+    pt.map(7, top);
+    std::uint64_t frame = 0;
+    EXPECT_TRUE(pt.lookup(7, frame));
+    EXPECT_EQ(frame, top);
+    EXPECT_DEATH(pt.map(8, PageTable::kMaxFrames), "exceeds 32 bits");
+    EXPECT_DEATH(pt.remap(7, PageTable::kMaxFrames), "exceeds 32 bits");
+}
+
+// ---- PageTable against a std::map reference --------------------------
+
+using Reference = std::map<std::uint64_t, std::uint64_t>;
+
+/** Every (vpage, frame) pair forEach() visits, in visit order. */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+visited(const PageTable &pt)
+{
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    pt.forEach([&](std::uint64_t v, std::uint64_t f) {
+        out.emplace_back(v, f);
+    });
+    return out;
+}
+
+/** size() and the full, vpage-ordered forEach() sequence match. */
+void
+expectSameTable(const PageTable &pt, const Reference &ref)
+{
+    ASSERT_EQ(pt.size(), ref.size());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> want(ref.begin(),
+                                                              ref.end());
+    EXPECT_EQ(visited(pt), want);
+}
+
+/**
+ * @p ops seeded operations on vpages drawn by @p draw: a map of an
+ * unmapped page, a remap of a mapped one, or a lookup, each applied
+ * to both tables with every lookup result compared.
+ */
+template <typename Draw>
+void
+runStream(PageTable &pt, Reference &ref, Rng &rng, int ops, Draw draw)
+{
+    for (int i = 0; i < ops; ++i) {
+        std::uint64_t vpage = draw(rng);
+        std::uint64_t frame = rng.nextBelow(PageTable::kMaxFrames);
+        auto it = ref.find(vpage);
+        std::uint64_t got = 0;
+        bool hit = pt.lookup(vpage, got);
+        ASSERT_EQ(hit, it != ref.end()) << "vpage " << vpage;
+        if (hit) {
+            ASSERT_EQ(got, it->second) << "vpage " << vpage;
+        }
+        switch (rng.nextBelow(3)) {
+          case 0:
+          case 1:
+            if (!hit) {
+                pt.map(vpage, frame);
+                ref.emplace(vpage, frame);
+            }
+            break;
+          default:
+            if (hit) {
+                pt.remap(vpage, frame);
+                it->second = frame;
+            }
+            break;
+        }
+    }
+}
+
+TEST(PageTableDifferential, DenseRangeAcrossRehashesAndChunks)
+{
+    // 60k draws over 24k pages map most of the range: seven bucket
+    // doublings (256 -> 32768) and ~75 pool chunks of 256 nodes.
+    PageTable pt;
+    Reference ref;
+    Rng rng(11);
+    auto dense = [](Rng &r) { return r.nextBelow(24000); };
+    runStream(pt, ref, rng, 60000, dense);
+    EXPECT_GT(ref.size(), 16384u);
+    expectSameTable(pt, ref);
+    runStream(pt, ref, rng, 20000, dense);
+    expectSameTable(pt, ref);
+}
+
+TEST(PageTableDifferential, SparseVpagesUpTo2To52)
+{
+    PageTable pt;
+    Reference ref;
+    Rng rng(12);
+    // Fresh random pages (almost all maps), then re-draws from the
+    // mapped set so remaps and hits are frequent too.
+    auto sparse = [](Rng &r) { return r.nextBelow(std::uint64_t{1} << 52); };
+    runStream(pt, ref, rng, 30000, sparse);
+    EXPECT_GT(ref.size(), 18000u);
+    expectSameTable(pt, ref);
+
+    std::vector<std::uint64_t> keys;
+    for (const auto &kv : ref)
+        keys.push_back(kv.first);
+    runStream(pt, ref, rng, 30000, [&](Rng &r) {
+        return r.nextBool(0.8) ? keys[r.nextBelow(keys.size())]
+                               : r.nextBelow(std::uint64_t{1} << 52);
+    });
+    expectSameTable(pt, ref);
+}
+
+TEST(PageTableDifferential, PowerOfTwoStridesSpreadAcrossBuckets)
+{
+    // Page-aligned regions far apart (vpages k << 20 and k << 40, plus
+    // small offsets) share their low bits; the multiplicative hash
+    // must still resolve every one of them.
+    PageTable pt;
+    Reference ref;
+    Rng rng(13);
+    runStream(pt, ref, rng, 30000, [](Rng &r) {
+        unsigned shift = r.nextBool(0.5) ? 20 : 40;
+        return (r.nextBelow(4096) << shift) + r.nextBelow(4);
+    });
+    expectSameTable(pt, ref);
+}
+
+TEST(PageTableDifferential, DoubleMapStillPanicsWhenLarge)
+{
+    PageTable pt;
+    for (std::uint64_t v = 0; v < 5000; ++v)
+        pt.map(v * 977, v);
+    EXPECT_EQ(pt.size(), 5000u);
+    EXPECT_DEATH(pt.map(4999 * 977, 1), "already mapped");
+    EXPECT_DEATH(pt.map(0, 1), "already mapped");
 }
 
 TEST(FrameAllocator, ColorAccountingExact)
@@ -250,6 +387,26 @@ TEST(OsMemory, InvalidColorSetRejected)
     OsMemory os(map, 1);
     EXPECT_DEATH(os.setColorSet(0, {}), "empty");
     EXPECT_DEATH(os.setColorSet(0, {999}), "out of range");
+}
+
+TEST(OsMemory, FrameCountMustFitThirtyTwoBits)
+{
+    // 2^32 frames of 4 KiB (16 TiB) is the most a page table can
+    // number; one more row per bank doubles it. The allocator builds
+    // no frame list, so neither geometry costs anything to construct.
+    DramGeometry g = geo();
+    g.rowsPerBank = std::uint64_t{1} << 26;
+    ASSERT_EQ(g.totalFrames(), PageTable::kMaxFrames);
+    AddressMap fits(g, MapScheme::PageInterleave);
+    OsMemory os(fits, 1);
+    EXPECT_LT(os.translate(0, 0) / 4096, PageTable::kMaxFrames);
+
+    g.rowsPerBank <<= 1;
+    AddressMap too_big(g, MapScheme::PageInterleave);
+    EXPECT_EXIT({ OsMemory big(too_big, 1); }, ::testing::ExitedWithCode(1),
+                "^\\[dbpsim:fatal\\] OsMemory: 8589934592 frames do not "
+                "fit the page table's 32-bit frame field \\(at most "
+                "4294967296\\)\n$");
 }
 
 TEST(OsMemory, BadThreadIdPanics)

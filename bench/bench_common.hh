@@ -46,17 +46,6 @@ makeRunConfig(const Config &cfg)
     return rc;
 }
 
-/** Command-line convenience wrapper (examples). */
-inline RunConfig
-makeRunConfig(int argc, char **argv, Config *out_cfg = nullptr)
-{
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    if (out_cfg)
-        *out_cfg = cfg;
-    return makeRunConfig(cfg);
-}
-
 /** The mixes the full figures sweep. */
 inline std::vector<WorkloadMix>
 allMixes()

@@ -47,11 +47,12 @@ main(int argc, char **argv)
         std::cout << a << ' ';
     std::cout << "\n\n";
 
-    ExperimentRunner runner(rc);
+    AloneBaselineCache baselines;
     TextTable table({"scheme", "weighted speedup", "max slowdown",
                      "harmonic speedup"});
     for (const auto &scheme_name : {"FR-FCFS", "UBP", "DBP"}) {
-        MixResult r = runner.runMix(mix, schemeByName(scheme_name));
+        MixResult r =
+            runMixJob(rc, mix, schemeByName(scheme_name), baselines);
         table.beginRow();
         table.cell(r.schemeName);
         table.cell(r.metrics.weightedSpeedup);

@@ -75,14 +75,14 @@ main(int argc, char **argv)
               << formatDouble(100 * mix.intensiveFraction(), 0)
               << " % intensive) on " << rc.base.summary() << "\n\n";
 
-    ExperimentRunner runner(rc);
+    AloneBaselineCache baselines;
 
     // Summary metrics per scheme.
     TextTable summary({"scheme", "weighted speedup", "max slowdown",
                        "harmonic speedup", "pages migrated"});
     std::vector<MixResult> results;
     for (const auto &name : scheme_names) {
-        MixResult r = runner.runMix(mix, schemeByName(name));
+        MixResult r = runMixJob(rc, mix, schemeByName(name), baselines);
         summary.beginRow();
         summary.cell(r.schemeName);
         summary.cell(r.metrics.weightedSpeedup);

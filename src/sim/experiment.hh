@@ -1,21 +1,19 @@
 /**
  * @file
- * Experiment harness: runs workload mixes under schemes, computing
- * alone-run baselines once per (application, hardware) pair and the
- * paper's metrics per run. Every figure campaign builds on this.
+ * The one way to run a mix: runMixJob() simulates one workload mix
+ * under one scheme and returns the paper's metrics, dividing by
+ * alone-run IPCs from an AloneBaselineCache (see sim/baseline.hh).
+ * Campaigns, tests, examples and perfbench all call it.
  *
- * Thread-safety contract (the campaign layer depends on it): an
- * ExperimentRunner is stateless per run — runMix() and the alone
- * accessors are const and may be called concurrently from any number
- * of threads. The only shared mutable state is the alone-baseline
- * cache (see sim/baseline.hh), which synchronizes internally and may
- * be shared between runners so one process never repeats an alone run.
+ * Thread-safety: runMixJob() keeps no state of its own, so any number
+ * of threads may call it at once. The only shared mutable state is the
+ * baseline cache, which synchronizes internally; share one cache
+ * between calls so a process never repeats an alone run.
  */
 
 #ifndef DBPSIM_SIM_EXPERIMENT_HH
 #define DBPSIM_SIM_EXPERIMENT_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +26,7 @@
 namespace dbpsim {
 
 /**
- * Harness configuration.
+ * Hardware and measurement window of a mix run.
  */
 struct RunConfig
 {
@@ -79,53 +77,6 @@ struct MixResult
 MixResult runMixJob(const RunConfig &rc, const WorkloadMix &mix,
                     const Scheme &scheme,
                     AloneBaselineCache &baselines);
-
-/**
- * The harness. A thin, thread-safe facade over runMixJob() and the
- * alone-baseline cache; kept as the stable entry point for tests,
- * examples and ad-hoc experiments.
- */
-class ExperimentRunner
-{
-  public:
-    /**
-     * @param config Harness configuration.
-     * @param baselines Alone-run cache to share; a private one is
-     *        created when omitted.
-     */
-    explicit ExperimentRunner(
-        RunConfig config,
-        std::shared_ptr<AloneBaselineCache> baselines = nullptr);
-
-    /**
-     * Alone IPC of @p app on the configured hardware (FR-FCFS,
-     * unpartitioned, single core) — the denominator of every speedup.
-     */
-    double aloneIpc(const std::string &app) const;
-
-    /** Run @p mix under @p scheme. Thread-safe. */
-    MixResult runMix(const WorkloadMix &mix, const Scheme &scheme) const;
-
-    /**
-     * Alone-run characteristics of an application (for the workload
-     * table and motivation figures): measured MPKI, shadow row-buffer
-     * hit rate, BLP, IPC, footprint.
-     */
-    ThreadMemProfile aloneProfile(const std::string &app) const;
-
-    /** Configuration access. */
-    const RunConfig &config() const { return config_; }
-
-    /** The shared alone-baseline cache. */
-    const std::shared_ptr<AloneBaselineCache> &baselines() const
-    {
-        return baselines_;
-    }
-
-  private:
-    RunConfig config_;
-    std::shared_ptr<AloneBaselineCache> baselines_;
-};
 
 } // namespace dbpsim
 

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 
+#include "bench_common.hh"
 #include "common/json.hh"
 #include "sim/campaign.hh"
 
@@ -292,6 +293,44 @@ TEST(Campaign, DuplicateJobKeysAreFatal)
     plan.add("a", [](CampaignContext &) { return Json(); });
     EXPECT_DEATH(plan.add("a", [](CampaignContext &) { return Json(); }),
                  "duplicate");
+}
+
+TEST(Campaign, SweepFiguresPinned)
+{
+    // Each scheme-sweep figure on a tiny window: its job results, its
+    // summary metrics and its printed tables, hashed together. The
+    // values were recorded when every figure was still its own source
+    // file, so they prove the sweep table reproduces those campaigns
+    // byte for byte. The first two hashed parts alone give the
+    // `dbpsim_bench <fig>` "result digest" at the same window.
+    Config cfg;
+    for (const char *token :
+         {"warmup=50000", "measure=100000", "seed=42", "check=0"})
+        cfg.parseToken(token);
+    RunConfig rc = bench::makeRunConfig(cfg);
+    auto baselines = std::make_shared<AloneBaselineCache>();
+    CampaignOptions opts;
+    opts.jobs = 4;
+    opts.progress = false;
+
+    const std::pair<const char *, std::uint64_t> pins[] = {
+        {"fig4", 0xc4dd207b351e1269ULL}, {"fig5", 0x2d89c68819d37c0eULL},
+        {"fig6", 0xbba2582a60daaaedULL}, {"fig7", 0x283e36d1a7b1f052ULL},
+        {"fig9", 0x3be255b7367f031cULL}, {"fig17", 0xdc9ff2144bfa9401ULL},
+    };
+    for (const auto &[name, digest] : pins) {
+        const CampaignSpec *spec = findCampaign(name);
+        ASSERT_NE(spec, nullptr) << name;
+        std::ostringstream os;
+        Json doc = runCampaign(*spec, rc, baselines, opts, os);
+        std::uint64_t got = hashString(doc.at("jobs").dump() +
+                                       doc.at("summary").dump() +
+                                       os.str());
+        EXPECT_EQ(got, digest) << name << " digest 0x" << std::hex << got
+                               << ", result digest 0x"
+                               << hashString(doc.at("jobs").dump() +
+                                             doc.at("summary").dump());
+    }
 }
 
 } // namespace

@@ -223,6 +223,18 @@ TEST(DbplintCrossFile, CampaignDoc)
 
     corpus.experiments = "## figZ: documented\n";
     EXPECT_TRUE(lintCorpus(corpus).empty());
+
+    // Many registrations in one file (table rows): each is checked on
+    // its own, and the finding names the undocumented one.
+    corpus.files[0] = {
+        "bench/rows.cc",
+        "const CampaignRegistrar figZ(row({\"figZ\", \"t\", \"e\"}));\n"
+        "const CampaignRegistrar figY(row({\"figY\", \"t\", \"e\"}));\n"};
+    findings = lintCorpus(corpus);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "campaign-doc");
+    EXPECT_EQ(findings[0].line, 2u);
+    EXPECT_NE(findings[0].message.find("\"figY\""), std::string::npos);
 }
 
 // ---- output formats and rule inventory ------------------------------

@@ -9,7 +9,7 @@
  *  2. Cross-validation: attach the checker to a real DramChannel and
  *     replay a randomized legal command stream — two independent
  *     implementations of the DDR rules must agree that it is clean.
- *  3. End-to-end: full System / ExperimentRunner runs of every scheme
+ *  3. End-to-end: full System / runMixJob() runs of every scheme
  *     must complete with zero violations (fail-fast panics otherwise).
  */
 
@@ -859,11 +859,11 @@ TEST(ProtocolCheckExperiment, AllStandardSchemesPassFailFast)
         rc.warmupCpu = 60'000;
         rc.measureCpu = 150'000;
 
-        ExperimentRunner runner(rc);
+        AloneBaselineCache baselines;
         WorkloadMix mix{"check",
                         {"libquantum", "omnetpp", "gcc", "mcf"}};
         for (const Scheme &s : standardSchemes()) {
-            MixResult r = runner.runMix(mix, s);
+            MixResult r = runMixJob(rc, mix, s, baselines);
             EXPECT_GT(r.metrics.weightedSpeedup, 0.0)
                 << s.name << " refresh=" << refreshModeName(leg.mode);
         }

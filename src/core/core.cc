@@ -35,7 +35,7 @@ TraceCore::fetch()
                                     .vaddr = 0,
                                     .issued = false,
                                     .completed = false,
-                                    .serial = 0});
+                                    .mshr = 0});
             windowInstrs_ += rec.gap;
         }
         window_.push_back(Entry{
@@ -44,7 +44,7 @@ TraceCore::fetch()
             .vaddr = rec.vaddr - rec.vaddr % params_.lineBytes,
             .issued = false,
             .completed = false,
-            .serial = nextSerial_++});
+            .mshr = 0});
         windowInstrs_ += 1;
     }
 }
@@ -55,9 +55,9 @@ TraceCore::tryIssueLoad(Entry &entry)
     Addr line = entry.vaddr;
 
     // Merge with an outstanding MSHR for the same line.
-    for (auto &m : mshrs_) {
-        if (m.valid && m.lineAddr == line) {
-            m.waiters.push_back(entry.serial);
+    for (std::size_t i = 0; i < mshrs_.size(); ++i) {
+        if (mshrs_[i].valid && mshrs_[i].lineAddr == line) {
+            entry.mshr = static_cast<std::uint32_t>(i);
             entry.issued = true;
             statMshrMerges.inc();
             return true;
@@ -84,8 +84,8 @@ TraceCore::tryIssueLoad(Entry &entry)
 
     mshrs_[slot].valid = true;
     mshrs_[slot].lineAddr = line;
-    mshrs_[slot].waiters.assign(1, entry.serial);
     ++mshrInUse_;
+    entry.mshr = static_cast<std::uint32_t>(slot);
     entry.issued = true;
     statLoads.inc();
     return true;
@@ -109,17 +109,12 @@ TraceCore::readComplete(std::uint64_t tag)
     Mshr &m = mshrs_[tag];
     DBP_ASSERT(m.valid, "completion for free MSHR " << tag);
 
-    for (std::uint64_t serial : m.waiters) {
-        for (auto &entry : window_) {
-            if (entry.kind == Entry::Kind::Load &&
-                entry.serial == serial) {
-                entry.completed = true;
-                break;
-            }
-        }
+    for (auto &entry : window_) {
+        if (entry.kind == Entry::Kind::Load && entry.issued &&
+            !entry.completed && entry.mshr == tag)
+            entry.completed = true;
     }
     m.valid = false;
-    m.waiters.clear();
     DBP_ASSERT(mshrInUse_ > 0, "mshrInUse_ underflow");
     --mshrInUse_;
 }

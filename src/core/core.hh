@@ -119,7 +119,7 @@ class TraceCore : public MemClient
         Addr vaddr;          ///< memory entries.
         bool issued;         ///< load sent to memory / MSHR merged.
         bool completed;      ///< load data returned.
-        std::uint64_t serial; ///< unique id for MSHR attachment.
+        std::uint32_t mshr;  ///< MSHR issued or merged into (loads).
     };
 
     /** Fill the window from the trace. */
@@ -150,14 +150,17 @@ class TraceCore : public MemClient
     Ring<Entry> window_;
     std::uint64_t windowInstrs_ = 0; ///< instructions in the window.
     InstCount retired_ = 0;
-    std::uint64_t nextSerial_ = 0;
 
-    /** MSHR: line address + completion fan-out to window entries. */
+    /**
+     * MSHR: one outstanding line. Its waiters are the issued, not yet
+     * completed loads whose Entry::mshr is its index: a slot is reused
+     * only after readComplete() marked all of them, and a load cannot
+     * retire before it completes.
+     */
     struct Mshr
     {
         bool valid = false;
         Addr lineAddr = 0;
-        std::vector<std::uint64_t> waiters; ///< entry serials.
     };
     std::vector<Mshr> mshrs_;
     unsigned mshrInUse_ = 0;

@@ -6,6 +6,19 @@
 
 namespace dbpsim {
 
+PagePolicy
+pagePolicyByName(const std::string &name)
+{
+    if (name == "open")
+        return PagePolicy::Open;
+    if (name == "closed")
+        return PagePolicy::Closed;
+    if (name == "adaptive")
+        return PagePolicy::OpenAdaptive;
+    fatal("unknown page_policy '", name,
+          "' (expected open|closed|adaptive)");
+}
+
 MemoryController::MemoryController(unsigned channel_id,
                                    const AddressMap &map,
                                    const DramTiming &timing,

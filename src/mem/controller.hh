@@ -15,6 +15,7 @@
 #define DBPSIM_MEM_CONTROLLER_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -40,6 +41,9 @@ enum class PagePolicy
                   ///< hides tRP for the next conflict while keeping
                   ///< hit streaks intact.
 };
+
+/** Parse "open" / "closed" / "adaptive"; fatal() otherwise. */
+PagePolicy pagePolicyByName(const std::string &name);
 
 /**
  * Controller configuration.

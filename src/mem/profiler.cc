@@ -1,5 +1,7 @@
 #include "mem/profiler.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace dbpsim {
@@ -35,11 +37,19 @@ ThreadProfiler::onRequest(ThreadId tid, unsigned color, std::uint64_t row)
 
 namespace {
 
-/** Pack a (color, row) pair into one map key. */
+/** Pack a (color, row) pair into one key. */
 std::uint64_t
 rowKey(unsigned color, std::uint64_t row)
 {
     return (static_cast<std::uint64_t>(color) << 48) ^ row;
+}
+
+template <class Rows>
+auto
+findRow(Rows &rows, std::uint64_t key)
+{
+    return std::find_if(rows.begin(), rows.end(),
+                        [key](const auto &r) { return r.key == key; });
 }
 
 } // namespace
@@ -54,8 +64,14 @@ ThreadProfiler::onOutstandingInc(ThreadId tid, unsigned color,
     if (slots_[t * numColors_ + color].outstanding++ == 0)
         ++ts.busyBanks;
     ++ts.outstanding;
-    if (count_rows && ts.rows[rowKey(color, row)]++ == 0)
-        ++ts.busyRows;
+    if (!count_rows)
+        return;
+    const std::uint64_t key = rowKey(color, row);
+    auto it = findRow(ts.rows, key);
+    if (it == ts.rows.end())
+        ts.rows.push_back({key, 1});
+    else
+        ++it->count;
 }
 
 void
@@ -77,13 +93,11 @@ ThreadProfiler::onOutstandingDec(ThreadId tid, unsigned color,
 
     if (!count_rows)
         return;
-    auto it = ts.rows.find(rowKey(color, row));
-    DBP_ASSERT(it != ts.rows.end() && it->second > 0,
-               "profiler: row-outstanding underflow");
-    if (--it->second == 0) {
-        ts.rows.erase(it);
-        DBP_ASSERT(ts.busyRows > 0, "profiler: busyRows underflow");
-        --ts.busyRows;
+    auto it = findRow(ts.rows, rowKey(color, row));
+    DBP_ASSERT(it != ts.rows.end(), "profiler: row-outstanding underflow");
+    if (--it->count == 0) {
+        *it = ts.rows.back();
+        ts.rows.pop_back();
     }
 }
 
@@ -93,7 +107,7 @@ ThreadProfiler::tick()
     for (ThreadState &ts : threads_) {
         ts.blp.sample(ts.busyBanks);
         ts.mlp.sample(ts.outstanding);
-        ts.drp.sample(ts.busyRows);
+        ts.drp.sample(static_cast<std::uint32_t>(ts.rows.size()));
     }
 }
 

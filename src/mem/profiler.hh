@@ -15,17 +15,16 @@
  *
  * One profiler instance serves all channels (BLP spans channels).
  *
- * State: one array of per-thread records (outstanding counts and the
- * interval accumulators) and one flat [thread * colors + color] array
- * of per-(thread, color) slots (shadow row, outstanding count), both
- * built by the constructor.
+ * State: one array of per-thread records (outstanding counts, the
+ * busy-row list and the interval accumulators) and one flat
+ * [thread * colors + color] array of per-(thread, color) slots
+ * (shadow row, outstanding count), both built by the constructor.
  */
 
 #ifndef DBPSIM_MEM_PROFILER_HH
 #define DBPSIM_MEM_PROFILER_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -118,16 +117,26 @@ class ThreadProfiler
         }
     };
 
+    /** Outstanding requests to one (color, row) key. */
+    struct RowCount
+    {
+        std::uint64_t key;
+        std::uint32_t count;
+    };
+
     /** Per-thread state. */
     struct ThreadState
     {
         std::uint32_t busyBanks = 0;   ///< colors with outstanding > 0.
         std::uint32_t outstanding = 0; ///< requests in flight, all banks.
-        std::uint32_t busyRows = 0;    ///< distinct (color, row) targets.
 
-        /** Outstanding per (color, row) key. */
-        // dbplint:allow(unordered-decl) reason=never iterated; only point find/insert/erase with busyRows maintained incrementally, so hash order cannot reach results
-        std::unordered_map<std::uint64_t, std::uint32_t> rows;
+        /**
+         * Outstanding count per distinct (color, row) key, unordered:
+         * linear find, swap-remove. Its size is the busy-row count and
+         * is bounded by the thread's outstanding loads, so it stops
+         * allocating once it has reached its peak.
+         */
+        std::vector<RowCount> rows;
 
         /** @name Interval accumulators (reset by closeInterval). */
         /// @{

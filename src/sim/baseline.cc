@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -24,42 +26,73 @@ hashString(const std::string &s)
     return h;
 }
 
-std::string
-aloneRunSignature(const RunConfig &rc)
+namespace {
+
+/** Appends ";name=value" for every field, keyed or fixed. */
+struct SignatureWriter
 {
-    const SystemParams &p = rc.base;
+    std::ostream &os;
+
+    template <class T>
+    void key(const char *name, const T &v)
+    {
+        os << ';' << name << '=';
+        if constexpr (std::is_enum_v<T>)
+            os << static_cast<int>(v);
+        else
+            os << v;
+    }
+    template <class T>
+    void fixed(const char *name, const T &v)
+    {
+        key(name, v);
+    }
+};
+
+/** What runAloneBaseline() simulates: one core, FR-FCFS,
+ *  unpartitioned, one profiling interval spanning the whole run. */
+SystemParams
+aloneParams(const RunConfig &rc)
+{
+    SystemParams params = rc.base;
+    params.numCores = 1;
+    params.scheduler = "fr-fcfs";
+    params.partition = "none";
+    params.profileIntervalCpu = rc.warmupCpu + rc.measureCpu +
+        1'000'000'000ULL;
+    return params;
+}
+
+} // namespace
+
+std::string
+runConfigSignature(const RunConfig &rc)
+{
     std::ostringstream os;
-    os << "alone-v1"
-       << ";cpuRatio=" << p.cpuRatio
-       << ";core=" << p.core.windowSize << '/' << p.core.issueWidth
-       << '/' << p.core.mshrs << '/' << p.core.storeBufferSize << '/'
-       << p.core.lineBytes
-       << ";geom=" << p.geometry.channels << 'x'
-       << p.geometry.ranksPerChannel << 'x' << p.geometry.banksPerRank
-       << '/' << p.geometry.rowsPerBank << '/' << p.geometry.rowBytes
-       << '/' << p.geometry.lineBytes << '/' << p.geometry.pageBytes
-       << ";timing=" << p.timingName
-       << ";map=" << mapSchemeName(p.scheme)
-       << ";xor=" << p.bankXor
-       << ";ctrl=" << p.controller.readQueueSize << '/'
-       << p.controller.writeQueueSize << '/'
-       << p.controller.writeHiWatermark << '/'
-       << p.controller.writeLoWatermark << '/'
-       << p.controller.idleWriteThresh << '/'
-       << p.controller.forwardLatency << '/'
-       << static_cast<int>(p.controller.pagePolicy) << '/'
-       << p.controller.rowIdleTimeout
-       << ";refresh=" << refreshModeName(p.controller.refresh.mode)
-       << '/' << p.controller.refresh.aware << '/'
-       << p.controller.refresh.postponeMax << '/' << p.trefiOverride
-       << '/' << p.trfcOverride << '/' << p.trfcPbOverride
-       << ";cache=" << p.cacheEnabled;
-    if (p.cacheEnabled)
-        os << '/' << p.cache.sizeBytes << '/' << p.cache.associativity
-           << '/' << p.cache.lineBytes << '/' << p.cache.hitLatency;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << "run-v2";
+    SignatureWriter writer{os};
+    rc.base.visit(writer);
     os << ";warmup=" << rc.warmupCpu << ";measure=" << rc.measureCpu
        << ";seed=" << rc.seedBase;
     return os.str();
+}
+
+std::string
+aloneRunSignature(const RunConfig &rc)
+{
+    RunConfig key = rc;
+    key.base = aloneParams(rc); // pins cores, interval, sched, part.
+    // A one-core FR-FCFS unpartitioned run never reads these fields,
+    // or only observes them, so they must not split its baseline.
+    const SystemParams unread{};
+    key.base.sched = unread.sched;
+    key.base.dbp = unread.dbp;
+    key.base.mcp = unread.mcp;
+    key.base.partMgr = unread.partMgr;
+    key.base.protocolCheck = unread.protocolCheck;
+    key.base.checkFailFast = unread.checkFailFast;
+    return runConfigSignature(key);
 }
 
 std::uint64_t
@@ -78,21 +111,13 @@ jobSeed(std::uint64_t seed_base, const std::string &mix,
 AloneBaseline
 runAloneBaseline(const RunConfig &rc, const std::string &app)
 {
-    SystemParams params = rc.base;
-    params.numCores = 1;
-    params.scheduler = "fr-fcfs";
-    params.partition = "none";
-    // One profiling interval covering exactly the full run, closed
-    // explicitly at the end, so the alone profile summarizes the whole
-    // execution.
-    params.profileIntervalCpu = rc.warmupCpu + rc.measureCpu +
-        1'000'000'000ULL;
-
     auto source = makeSpecSource(app, rc.seedBase * 31 + 7);
     std::vector<TraceSource *> sources{source.get()};
-    System system(params, sources);
+    System system(aloneParams(rc), sources);
     std::vector<double> ipc = system.runAndMeasure(rc.warmupCpu,
                                                    rc.measureCpu);
+    // Close the run-spanning interval so the profile summarizes the
+    // whole execution.
     system.closeIntervalNow();
 
     AloneBaseline out;

@@ -45,10 +45,20 @@ struct AloneBaseline
 std::uint64_t hashString(const std::string &s);
 
 /**
- * Canonical signature of every parameter an alone run depends on:
- * core front-end, DRAM geometry/timing, controller, address map,
- * cache, measurement window and seed base. Two RunConfigs with equal
- * signatures produce bit-identical alone runs.
+ * Canonical signature of a full run configuration: every field
+ * SystemParams::visit() names, plus the measurement window and seed
+ * base. Embedded into every result document as its config hash.
+ */
+std::string runConfigSignature(const RunConfig &rc);
+
+/**
+ * Key of runAloneBaseline(@p rc, app): runConfigSignature() of the
+ * params the alone run simulates (one core, FR-FCFS, unpartitioned,
+ * one run-long interval), with the fields such a run never reads
+ * (scheduler, DBP, MCP and migration tuning) or only observes (the
+ * checker) reset to defaults. Two RunConfigs with equal signatures
+ * produce bit-identical alone runs; a field missing from that reset
+ * list costs a recompute, never a wrong baseline.
  */
 std::string aloneRunSignature(const RunConfig &rc);
 

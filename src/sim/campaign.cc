@@ -191,30 +191,6 @@ findCampaign(const std::string &name)
 
 // ---- signature / serialization --------------------------------------
 
-std::string
-runConfigSignature(const RunConfig &rc)
-{
-    const SystemParams &p = rc.base;
-    std::ostringstream os;
-    os << aloneRunSignature(rc)
-       << ";cores=" << p.numCores
-       << ";interval=" << p.profileIntervalCpu
-       << ";sched=" << p.scheduler << ";part=" << p.partition
-       << ";schedInit=" << p.sched.burstCycles << '/'
-       << p.sched.tcmShuffleInterval << '/' << p.sched.tcmClusterThresh
-       << '/' << p.sched.atlasQuantum << '/' << p.sched.parbsMarkingCap
-       << '/' << p.sched.blissCap << '/' << p.sched.blissClearInterval
-       << ";dbp=" << p.dbp.lightMpki << '/' << p.dbp.lightBanksPerThread
-       << '/' << p.dbp.streamRbhr << '/' << p.dbp.streamBanks << '/'
-       << p.dbp.maxDonorRows << '/' << p.dbp.flatDemand << '/'
-       << p.dbp.hysteresisBanks << '/' << p.dbp.lightShareCap
-       << ";mcp=" << p.mcp.lowMpki << '/' << p.mcp.highRbl
-       << ";mig=" << static_cast<int>(p.partMgr.migration) << '/'
-       << p.partMgr.maxMigratePages
-       << ";check=" << p.protocolCheck;
-    return os.str();
-}
-
 std::uint64_t
 runConfigHash(const RunConfig &rc)
 {

@@ -190,11 +190,9 @@ struct CampaignRegistrar
 // ---- shared building blocks for the figure campaigns ----------------
 
 /**
- * Canonical signature/hash of a full run configuration (hardware +
- * policy tuning + measurement window), embedded into every result
- * document so trajectories compare like against like.
+ * Hash of runConfigSignature() (sim/baseline.hh), embedded into every
+ * result document so trajectories compare like against like.
  */
-std::string runConfigSignature(const RunConfig &rc);
 std::uint64_t runConfigHash(const RunConfig &rc);
 
 /** Serialize one MixResult (stable field order). */

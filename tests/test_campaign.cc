@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "bench_common.hh"
 #include "common/json.hh"
@@ -161,13 +163,60 @@ TEST(CampaignBaselines, ComputesOncePerApp)
 
 TEST(CampaignBaselines, DistinctConfigsGetDistinctEntries)
 {
-    AloneBaselineCache cache;
-    RunConfig rc = tinyConfig();
-    cache.get(rc, "gcc");
-    RunConfig other = rc;
-    other.base.geometry.banksPerRank *= 2;
-    cache.get(other, "gcc");
-    EXPECT_EQ(cache.computeCount(), 2u);
+    using Change = void (*)(SystemParams &);
+    const RunConfig rc = tinyConfig();
+    RunConfig masa = rc;
+    masa.base.controller.salp = SalpMode::Masa;
+
+    // A change to the machine the alone run simulates needs its own
+    // baseline, SALP and subarray changes included.
+    const std::pair<const RunConfig *, Change> distinct[] = {
+        {&rc, [](SystemParams &p) { p.geometry.banksPerRank *= 2; }},
+        {&rc, [](SystemParams &p) { p.controller.salp = SalpMode::Masa; }},
+        {&masa, [](SystemParams &p) { p.geometry.subarraysPerBank = 4; }},
+        {&masa, [](SystemParams &p) { p.tsaOverride = 3; }},
+        {&masa, [](SystemParams &p) { p.subarrayColoring = true; }},
+    };
+    for (std::size_t i = 0; i < std::size(distinct); ++i) {
+        RunConfig other = *distinct[i].first;
+        distinct[i].second(other.base);
+        AloneBaselineCache cache;
+        cache.get(*distinct[i].first, "gcc");
+        cache.get(other, "gcc");
+        EXPECT_EQ(cache.computeCount(), 2u) << "change " << i;
+    }
+
+    // A one-core FR-FCFS unpartitioned run never reads these, so they
+    // share one alone run, and simulating it anyway gives the same.
+    const Change shared[] = {
+        [](SystemParams &p) {
+            p.dbp.lightMpki *= 2;
+            p.dbp.hysteresisBanks = 4;
+        },
+        [](SystemParams &p) {
+            p.sched.atlasQuantum *= 2;
+            p.sched.tcmClusterThresh = 0.3;
+        },
+        [](SystemParams &p) { p.mcp.lowMpki *= 2; },
+        [](SystemParams &p) {
+            p.partMgr.migration = MigrationMode::Eager;
+            p.partMgr.maxMigratePages = 16;
+        },
+        [](SystemParams &p) { p.profileIntervalCpu *= 2; },
+        [](SystemParams &p) { p.numCores = 2; },
+        [](SystemParams &p) { p.protocolCheck = !p.protocolCheck; },
+    };
+    for (std::size_t i = 0; i < std::size(shared); ++i) {
+        RunConfig other = rc;
+        shared[i](other.base);
+        AloneBaselineCache cache;
+        AloneBaseline first = cache.get(rc, "gcc");
+        cache.get(other, "gcc");
+        EXPECT_EQ(cache.computeCount(), 1u) << "change " << i;
+        AloneBaseline own = runAloneBaseline(other, "gcc");
+        EXPECT_EQ(own.ipc, first.ipc) << "change " << i;
+        EXPECT_EQ(own.profile.mpki, first.profile.mpki) << "change " << i;
+    }
 }
 
 TEST(CampaignBaselines, PersistsAndReloadsWithoutRecompute)

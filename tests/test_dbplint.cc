@@ -4,9 +4,10 @@
  * under tools/lint/fixtures/: each carries `EXPECT:<rule>` markers on
  * the lines that must fire, and the test compares the finding set
  * against the markers exactly — so a rule that stops firing, fires on
- * the wrong line, or over-fires all fail the same assertion. The
+ * the wrong line, or over-fires all fail the same assertion
+ * (config-key-doc's fixture is linted against a one-key README). The
  * cross-file rules (validate-coverage, config-key-doc,
- * violation-test, campaign-doc) are driven with inline corpora, and
+ * violation-test, campaign-doc) are also driven with inline corpora, and
  * the negative test lints the real repository tree, which must be
  * clean — the in-process twin of the LintTreeClean ctest gate.
  */
@@ -91,17 +92,19 @@ asLineRules(const std::vector<Finding> &findings)
 
 /**
  * Lint one fixture under a synthetic src/ path (the banned and
- * cycle-literal rules are path-sensitive) and require the finding set
- * to match the fixture's markers exactly.
+ * cycle-literal rules are path-sensitive), with @p readme as the
+ * README text ("" disables config-key-doc), and require the finding
+ * set to match the fixture's markers exactly.
  */
 void
-checkFixture(const std::string &name)
+checkFixture(const std::string &name, const std::string &readme = "")
 {
     const std::string content =
         slurp(repoRoot() / "tools/lint/fixtures" / name);
     ASSERT_FALSE(content.empty()) << "fixture " << name;
     Corpus corpus;
     corpus.files.push_back({"src/fixture/" + name, content});
+    corpus.readme = readme;
     EXPECT_EQ(asLineRules(lintCorpus(corpus)), expectedMarkers(content))
         << "fixture " << name;
 }
@@ -133,6 +136,11 @@ TEST(DbplintFixture, CycleLiteral) { checkFixture("cycle_literal.cc"); }
 TEST(DbplintFixture, SuppressionSemantics)
 {
     checkFixture("suppress.cc");
+}
+
+TEST(DbplintFixture, ConfigKeyDoc)
+{
+    checkFixture("config_key_doc.cc", "| `banks` | 8 | banks per rank |");
 }
 
 // The sanctioned homes are exempt: the same banned content under

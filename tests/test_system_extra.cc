@@ -10,8 +10,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
 
@@ -207,6 +213,166 @@ TEST(SystemConfig, RejectsBadValues)
     SystemParams p;
     EXPECT_EXIT({ p.applyConfig(cfg); },
                 ::testing::ExitedWithCode(1), "page_policy");
+}
+
+TEST(SystemConfig, CrossFieldRules)
+{
+    // refresh=darp is per-bank + aware; refresh_aware overrides the
+    // aware half whichever order the keys come in.
+    Config darp;
+    darp.parseToken("refresh=darp");
+    darp.parseToken("refresh_aware=0");
+    SystemParams p;
+    p.applyConfig(darp);
+    EXPECT_EQ(p.controller.refresh.mode, RefreshMode::PerBank);
+    EXPECT_FALSE(p.controller.refresh.aware);
+
+    Config color;
+    color.parseToken("subarray_color=1");
+    EXPECT_EXIT({ SystemParams q; q.applyConfig(color); },
+                ::testing::ExitedWithCode(1),
+                "subarray_color=1 requires a salp mode: without "
+                "subarray-level parallelism the finer colors only "
+                "shrink each thread's usable row-buffer set");
+    color.parseToken("salp=masa");
+    SystemParams q;
+    q.applyConfig(color);
+    EXPECT_TRUE(q.subarrayColoring);
+}
+
+namespace {
+
+/** Every visited field's name and value text, in visit order. */
+struct FieldTexts
+{
+    std::vector<std::string> names;
+    std::vector<std::string> values;
+
+    template <class T>
+    void key(const char *name, const T &v)
+    {
+        fixed(name, v);
+    }
+    template <class T>
+    void fixed(const char *name, const T &v)
+    {
+        std::ostringstream os;
+        if constexpr (std::is_enum_v<T>)
+            os << static_cast<int>(v);
+        else
+            os << v;
+        names.push_back(name);
+        values.push_back(os.str());
+    }
+};
+
+/** Changes the field at position @p target in visit order. */
+struct PerturbOne
+{
+    std::size_t target;
+    std::size_t at = 0;
+
+    template <class T>
+    void key(const char *, T &v)
+    {
+        fixed(nullptr, v);
+    }
+    template <class T>
+    void fixed(const char *, T &v)
+    {
+        if (at++ != target)
+            return;
+        if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+        else if constexpr (std::is_same_v<T, std::string>)
+            v += "x";
+        else if constexpr (std::is_enum_v<T>)
+            v = static_cast<T>(static_cast<int>(v) == 0 ? 1 : 0);
+        else
+            v = v + 1;
+    }
+};
+
+const char *otherName(MapScheme) { return "row"; }
+const char *otherName(PagePolicy) { return "closed"; }
+const char *otherName(RefreshMode) { return "perbank"; }
+const char *otherName(SalpMode) { return "masa"; }
+const char *otherName(MigrationMode) { return "eager"; }
+
+/** Each config key with a valid value other than its default. */
+struct KeySamples
+{
+    std::vector<std::pair<std::string, std::string>> keys;
+
+    template <class T>
+    void key(const char *name, const T &v)
+    {
+        std::ostringstream os;
+        if constexpr (std::is_same_v<T, bool>)
+            os << !v;
+        else if constexpr (std::is_same_v<T, std::string>)
+            os << v << "x";
+        else if constexpr (std::is_enum_v<T>)
+            os << otherName(v);
+        else
+            os << v + 1;
+        keys.emplace_back(name, os.str());
+    }
+    template <class T>
+    void fixed(const char *, const T &)
+    {
+    }
+};
+
+} // namespace
+
+TEST(SystemConfig, EveryVisitedFieldChangesTheRunSignature)
+{
+    const RunConfig rc;
+    FieldTexts fields;
+    rc.base.visit(fields);
+    ASSERT_GT(fields.names.size(), 50u);
+    EXPECT_EQ(std::set<std::string>(fields.names.begin(),
+                                    fields.names.end())
+                  .size(),
+              fields.names.size());
+
+    const std::string base = runConfigSignature(rc);
+    for (std::size_t i = 0; i < fields.names.size(); ++i) {
+        RunConfig changed = rc;
+        PerturbOne perturb{i};
+        changed.base.visit(perturb);
+        EXPECT_NE(runConfigSignature(changed), base) << fields.names[i];
+    }
+}
+
+TEST(SystemConfig, EachKeySetsExactlyOneField)
+{
+    KeySamples samples;
+    SystemParams{}.visit(samples);
+    for (const auto &[key, value] : samples.keys) {
+        // subarray_color is the one key with a precondition.
+        Config base;
+        if (key == "subarray_color")
+            base.parseToken("salp=masa");
+        SystemParams before;
+        before.applyConfig(base);
+        Config changed = base;
+        changed.set(key, value);
+        SystemParams after;
+        after.applyConfig(changed);
+
+        FieldTexts a;
+        FieldTexts b;
+        before.visit(a);
+        after.visit(b);
+        std::vector<std::string> moved;
+        for (std::size_t i = 0; i < a.values.size(); ++i)
+            if (a.values[i] != b.values[i])
+                moved.push_back(a.names[i]);
+        EXPECT_EQ(moved, std::vector<std::string>{key})
+            << key << "=" << value;
+    }
 }
 
 TEST(SystemInvariant, InstructionCountsMonotonic)

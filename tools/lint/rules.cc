@@ -506,9 +506,11 @@ Linter::ruleConfigKeyDoc(const ScannedFile &sf)
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != TokKind::Ident)
             continue;
+        // A key is read by a Config getter or named by a key() entry
+        // of SystemParams::visit(); fixed() entries have no key.
         const std::string &id = toks[i].text;
         if (id != "getString" && id != "getInt" && id != "getUInt" &&
-            id != "getDouble" && id != "getBool")
+            id != "getDouble" && id != "getBool" && id != "key")
             continue;
         if (!(toks[i + 1].kind == TokKind::Punct &&
               toks[i + 1].text == "(" &&

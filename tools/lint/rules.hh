@@ -32,7 +32,9 @@
  *        sanity-checked by DramTiming::validate().
  *
  *  consistency/
- *    config-key-doc    every parsed config key documented in README.
+ *    config-key-doc    every parsed config key (a Config getter's or a
+ *                      SystemParams::visit() key() entry's) documented
+ *                      in README.
  *    violation-test    every checker Violation enumerator exercised
  *                      in tests/test_protocol_check.cc.
  *    campaign-doc      every registered CampaignSpec described in

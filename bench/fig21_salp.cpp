@@ -105,30 +105,52 @@ render(CampaignRun &run, std::ostream &os)
         return geomean(sweepColumn(run, std::string(mode) + "/",
                                    sensitivityMixes(), scheme, field));
     };
+    // Each machine's WS divides by its own alone IPCs, so WS does not
+    // compare across machines; summed shared IPC does.
+    auto ipc = [&](const char *mode, const char *scheme) {
+        std::vector<double> sums;
+        for (const auto &mix : sensitivityMixes()) {
+            const Json &shared =
+                run.job(sweepKey(std::string(mode) + "/", mix.name, scheme))
+                    .at("shared_ipc");
+            double sum = 0.0;
+            for (std::size_t t = 0; t < shared.size(); ++t)
+                sum += shared.at(t).asDouble();
+            sums.push_back(sum);
+        }
+        return geomean(sums);
+    };
 
     // Does MASA close the BLP gap partitioning opens? Compare each
-    // scheme's MASA-equipped machine against its single-subarray one,
-    // and the partitioning gap (DBP over UBP) in both worlds.
-    double ubp_s1 = gm("s1", "UBP", "ws");
-    double ubp_masa = gm("masa-8", "UBP", "ws");
-    double dbp_s1 = gm("s1", "DBP", "ws");
-    double dbp_masa = gm("masa-8", "DBP", "ws");
-    run.summary("ws_gain_pct_UBP_masa8", pctGain(ubp_s1, ubp_masa));
-    run.summary("ws_gain_pct_DBP_masa8", pctGain(dbp_s1, dbp_masa));
-    os << "weighted-speedup gain from MASA (8 subarrays): UBP "
-       << pctGain(ubp_s1, ubp_masa) << " %, DBP "
-       << pctGain(dbp_s1, dbp_masa) << " %\n";
-    os << "DBP with MASA vs DBP with single-subarray banks: "
-       << pctGain(dbp_s1, dbp_masa) << " % ws\n";
+    // scheme's MASA-equipped machine against its single-subarray one.
+    double ws_ubp =
+        pctGain(gm("s1", "UBP", "ws"), gm("masa-8", "UBP", "ws"));
+    double ws_dbp =
+        pctGain(gm("s1", "DBP", "ws"), gm("masa-8", "DBP", "ws"));
+    double ipc_ubp = pctGain(ipc("s1", "UBP"), ipc("masa-8", "UBP"));
+    double ipc_dbp = pctGain(ipc("s1", "DBP"), ipc("masa-8", "DBP"));
+    run.summary("ws_gain_pct_UBP_masa8", ws_ubp);
+    run.summary("ws_gain_pct_DBP_masa8", ws_dbp);
+    run.summary("ipc_gain_pct_UBP_masa8", ipc_ubp);
+    run.summary("ipc_gain_pct_DBP_masa8", ipc_dbp);
+    os << "weighted-speedup change from MASA (8 subarrays), each machine "
+          "over its own alone runs: UBP "
+       << ws_ubp << " %, DBP " << ws_dbp << " %\n";
+    os << "summed shared-IPC gain from MASA (8 subarrays): UBP " << ipc_ubp
+       << " %, DBP " << ipc_dbp << " %\n";
+    os << "DBP with MASA vs DBP with single-subarray banks: " << ipc_dbp
+       << " % summed shared IPC\n";
 }
 
 const CampaignRegistrar reg({
     "fig21",
     "subarray-level parallelism (SALP/MASA) x scheme",
-    "Expected shape: SALP modes recover intra-bank parallelism, so "
-    "every scheme gains and the\npartitioned schemes gain most — "
-    "DBP+MASA should at least match DBP with single-subarray\nbanks, "
-    "closing part of the BLP gap bank partitioning opens.",
+    "Expected shape: SALP speeds each app alone more than the mix, so "
+    "against each machine's own\nalone runs every SALP mode lowers WS "
+    "slightly, while summed shared IPC rises a little\n(SALP-1/SALP-2 "
+    "most). DBP+MASA matches DBP with single-subarray banks in "
+    "throughput,\nnot in WS; subarray coloring (masa-8c) lowers "
+    "throughput.",
     plan,
     render,
 });

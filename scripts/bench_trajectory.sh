@@ -8,13 +8,14 @@
 # of the campaign layer — wall_seconds tracks executor efficiency,
 # job_seconds_total tracks simulator cost, peak_rss_mb (the
 # dbpsim_bench process's VmHWM; one process per campaign) tracks
-# memory, and the gmean metrics catch accuracy drift. fig20 and fig21
-# run with the protocol checker on, so the point also certifies the
-# refresh engine and the SALP/MASA subsystem were violation-free at
-# this commit. The config hash and the host (host_cpu, the
-# /proc/cpuinfo "model name"; nproc) are recorded so points from
-# different machine configurations or hosts are never compared by
-# accident.
+# memory, the gmean metrics catch accuracy drift, and the three result
+# digests (digest, fig20_digest, fig21_digest) catch any change at all
+# in the simulated results. fig20 and fig21 run with the protocol
+# checker on, so the point also certifies the refresh engine and the
+# SALP/MASA subsystem were violation-free at this commit. The config
+# hash and the host (host_cpu, the /proc/cpuinfo "model name"; nproc)
+# are recorded so points from different machine configurations or
+# hosts are never compared by accident.
 #
 # Usage: scripts/bench_trajectory.sh [jobs]
 #   jobs   Worker threads for the campaign (default: nproc).
@@ -45,19 +46,27 @@ cmake --build build -j "$(nproc 2>/dev/null || echo 4)" \
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
-./build/bench/dbpsim_bench fig4 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$warmup" measure="$measure" seed="$seed" \
-    >/dev/null
+# Each campaign prints "result digest: 0x..." over its jobs and
+# summary; the point records all three so digest drift shows up here.
+digest() { sed -n 's/^result digest: //p'; }
 
-./build/bench/dbpsim_bench fig20 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$fig20_warmup" measure="$fig20_measure" \
-    seed="$seed" >/dev/null
+fig4_digest="$(./build/bench/dbpsim_bench fig4 --jobs="$jobs" \
+    --out="$out" --quiet --no-cache warmup="$warmup" \
+    measure="$measure" seed="$seed" | digest)"
 
-./build/bench/dbpsim_bench fig21 --jobs="$jobs" --out="$out" --quiet \
-    --no-cache warmup="$fig20_warmup" measure="$fig20_measure" \
-    seed="$seed" >/dev/null
+fig20_digest="$(./build/bench/dbpsim_bench fig20 --jobs="$jobs" \
+    --out="$out" --quiet --no-cache warmup="$fig20_warmup" \
+    measure="$fig20_measure" seed="$seed" | digest)"
+
+fig21_digest="$(./build/bench/dbpsim_bench fig21 --jobs="$jobs" \
+    --out="$out" --quiet --no-cache warmup="$fig20_warmup" \
+    measure="$fig20_measure" seed="$seed" | digest)"
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# A point measured on uncommitted edits is not the commit's.
+if ! git diff --quiet HEAD -- 2>/dev/null; then
+    commit="$commit-dirty"
+fi
 date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 host_cpu="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo \
     2>/dev/null | head -n 1)"
@@ -65,6 +74,7 @@ host_nproc="$(nproc 2>/dev/null || echo 0)"
 
 python3 - "$out/fig4.json" "$out/fig20.json" "$out/fig21.json" \
     "$commit" "$date_utc" "$jobs" "${host_cpu:-unknown}" "$host_nproc" \
+    "$fig4_digest" "$fig20_digest" "$fig21_digest" \
     <<'EOF' >>BENCH_campaign.json
 import json
 import sys
@@ -81,6 +91,9 @@ line = {
     "wall_seconds": round(doc["wall_seconds"], 3),
     "job_seconds_total": round(doc["job_seconds_total"], 3),
     "peak_rss_mb": round(doc["peak_rss_mb"], 2),
+    "digest": sys.argv[9],
+    "fig20_digest": sys.argv[10],
+    "fig21_digest": sys.argv[11],
 }
 for key, value in doc["summary"].items():
     line[key] = round(value, 4) if isinstance(value, float) else value
@@ -95,7 +108,8 @@ for prefix, path in (("fig20_", sys.argv[2]), ("fig21_", sys.argv[3])):
         j.get("check_violations", 0) for j in sub["jobs"].values())
     line[prefix + "check_violations"] = violations
     for key, value in sub["summary"].items():
-        if not key.startswith(("gmean_", "ws_gain_pct_")):
+        if not key.startswith(("gmean_", "ws_gain_pct_",
+                               "ipc_gain_pct_")):
             continue
         flat = prefix + key.replace("/", "_").replace("-", "_")
         line[flat] = (round(value, 4)

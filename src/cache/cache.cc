@@ -1,12 +1,14 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace dbpsim {
 
 namespace {
 
-/** Dirty flag, the low bit of Line::tagDirty. */
+/** Dirty flag, the low bit of a tag word. */
 constexpr std::uint64_t kDirty = 1;
 
 } // namespace
@@ -39,7 +41,7 @@ SetAssocCache::SetAssocCache(CacheParams params) : params_(params)
         fatal("invalid cache geometry: ", err);
     sets_ = params_.sizeBytes / params_.lineBytes / params_.associativity;
     // Raw storage: pages are only faulted in when a set first fills.
-    lines_ = std::make_unique_for_overwrite<Line[]>(
+    tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(
         sets_ * params_.associativity);
     fill_.assign(sets_, 0);
 }
@@ -57,12 +59,19 @@ SetAssocCache::split(Addr paddr, std::uint64_t &set, Addr &tag) const
 unsigned
 SetAssocCache::find(std::uint64_t set, Addr tag) const
 {
-    const Line *base = &lines_[set * params_.associativity];
+    const std::uint64_t *base = &tags_[set * params_.associativity];
     const std::uint64_t key = tag << 1;
     for (unsigned w = 0; w < fill_[set]; ++w)
-        if ((base[w].tagDirty & ~kDirty) == key)
+        if ((base[w] & ~kDirty) == key)
             return w;
     return params_.associativity;
+}
+
+void
+SetAssocCache::touch(std::uint64_t set, unsigned way)
+{
+    std::uint64_t *base = &tags_[set * params_.associativity];
+    std::rotate(base, base + way, base + way + 1);
 }
 
 bool
@@ -83,7 +92,7 @@ SetAssocCache::readHit(Addr paddr)
     unsigned way = find(set, tag);
     if (way == params_.associativity)
         return false;
-    lines_[set * params_.associativity + way].lastUse = ++useCounter_;
+    touch(set, way);
     statHits.inc();
     return true;
 }
@@ -94,43 +103,39 @@ SetAssocCache::access(Addr paddr, bool write)
     std::uint64_t set;
     Addr tag;
     split(paddr, set, tag);
-    Line *base = &lines_[set * params_.associativity];
-    ++useCounter_;
+    std::uint64_t *base = &tags_[set * params_.associativity];
 
     CacheAccessResult result;
 
     unsigned way = find(set, tag);
     if (way != params_.associativity) {
-        Line &l = base[way];
-        l.lastUse = useCounter_;
+        touch(set, way);
         if (write)
-            l.tagDirty |= kDirty;
+            base[0] |= kDirty;
         result.hit = true;
         statHits.inc();
         return result;
     }
     statMisses.inc();
 
-    // Miss: the first invalid way, else the LRU way.
-    unsigned victim = fill_[set];
-    if (victim < params_.associativity) {
-        ++fill_[set];
+    // Miss: fill the next invalid way, else evict the LRU (last) way.
+    unsigned &fill = fill_[set];
+    if (fill < params_.associativity) {
+        ++fill;
     } else {
-        victim = 0;
-        for (unsigned w = 1; w < params_.associativity; ++w)
-            if (base[w].lastUse < base[victim].lastUse)
-                victim = w;
-        const Line &v = base[victim];
+        const std::uint64_t victim = base[fill - 1];
         statEvictions.inc();
-        if (v.tagDirty & kDirty) {
+        if (victim & kDirty) {
             statWritebacks.inc();
             result.writeback = true;
             result.writebackAddr =
-                ((v.tagDirty >> 1) * sets_ + set) * params_.lineBytes;
+                ((victim >> 1) * sets_ + set) * params_.lineBytes;
         }
     }
 
-    base[victim] = Line{tag << 1 | (write ? kDirty : 0), useCounter_};
+    // The survivors age by one way; the new line is the most recent.
+    std::copy_backward(base, base + fill - 1, base + fill);
+    base[0] = tag << 1 | (write ? kDirty : 0);
     return result;
 }
 
@@ -138,7 +143,6 @@ void
 SetAssocCache::flush()
 {
     fill_.assign(sets_, 0);
-    useCounter_ = 0;
 }
 
 double

@@ -1,10 +1,11 @@
 /**
  * @file
  * A set-associative, write-back, write-allocate cache with true-LRU
- * replacement. Used as an optional private L2 in front of the memory
- * system (the main experiments feed the controllers with post-cache
- * traces, matching the paper's methodology, but the substrate is a
- * full implementation for users who replay raw traces).
+ * replacement, each set's ways kept in recency order. Used as an
+ * optional private L2 in front of the memory system (the main
+ * experiments feed the controllers with post-cache traces, matching
+ * the paper's methodology, but the substrate is a full implementation
+ * for users who replay raw traces).
  */
 
 #ifndef DBPSIM_CACHE_CACHE_HH
@@ -67,8 +68,8 @@ class SetAssocCache
     CacheAccessResult access(Addr paddr, bool write);
 
     /**
-     * Read-hit probe. On a hit, counts it and refreshes the line's LRU
-     * stamp exactly as access(paddr, false) would, and returns true.
+     * Read-hit probe. On a hit, counts it and makes the line the set's
+     * most recent exactly as access(paddr, false) would, and returns true.
      * On a miss, changes nothing and returns false.
      */
     bool readHit(Addr paddr);
@@ -97,29 +98,25 @@ class SetAssocCache
     /// @}
 
   private:
-    /** A valid line. No default initialiser, so storage starts raw. */
-    struct Line
-    {
-        std::uint64_t tagDirty; ///< tag << 1 | dirty.
-        std::uint64_t lastUse;  ///< LRU stamp (useCounter_ at last use).
-    };
-
     /** Set index and tag of an address. */
     void split(Addr paddr, std::uint64_t &set, Addr &tag) const;
 
     /** Way of @p set holding @p tag, or associativity when absent. */
     unsigned find(std::uint64_t set, Addr tag) const;
 
+    /** Make way @p way of @p set the most recent: it moves to way 0. */
+    void touch(std::uint64_t set, unsigned way);
+
     CacheParams params_;
     std::uint64_t sets_;
     /**
-     * [set * assoc + way], default-initialised. Ways fill in order and
-     * only flush() invalidates, so the valid ways of a set are exactly
-     * [0, fill_[set]); nothing at or above the fill count is ever read.
+     * [set * assoc + way] = tag << 1 | dirty, default-initialised. The
+     * valid ways of a set are exactly [0, fill_[set]), most recently
+     * used first, so the LRU line is the last valid way; nothing at or
+     * above the fill count is ever read.
      */
-    std::unique_ptr<Line[]> lines_;
+    std::unique_ptr<std::uint64_t[]> tags_;
     std::vector<unsigned> fill_; ///< valid ways per set.
-    std::uint64_t useCounter_ = 0;
 };
 
 } // namespace dbpsim

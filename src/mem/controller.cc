@@ -40,6 +40,10 @@ MemoryController::MemoryController(unsigned channel_id,
                "write hi watermark exceeds queue size");
     readQ_.reserve(params_.readQueueSize);
     writeQ_.reserve(params_.writeQueueSize);
+    // A read stays in flight tCL + tBURST cycles after its column
+    // command, and the data bus carries one burst per tBURST, so no
+    // more reads than this are ever in flight at once.
+    inflight_.reserve(timing.tCL / timing.tBURST + 2);
     scheduler_->attachQueueView(this);
 }
 

@@ -6,12 +6,15 @@
 
 namespace dbpsim {
 
-ThreadProfiler::ThreadProfiler(unsigned num_threads, unsigned num_colors)
+ThreadProfiler::ThreadProfiler(unsigned num_threads, unsigned num_colors,
+                               unsigned max_outstanding)
     : numColors_(num_colors), threads_(num_threads),
       slots_(static_cast<std::size_t>(num_threads) * num_colors)
 {
     DBP_ASSERT(num_threads > 0, "profiler needs >= 1 thread");
     DBP_ASSERT(num_colors > 0, "profiler needs >= 1 color");
+    for (ThreadState &ts : threads_)
+        ts.rows.reserve(max_outstanding);
 }
 
 std::size_t

@@ -41,8 +41,11 @@ class ThreadProfiler
     /**
      * @param num_threads Hardware threads.
      * @param num_colors Machine-wide bank count.
+     * @param max_outstanding Bound on one thread's outstanding loads
+     *     (its MSHRs); each thread's busy-row list is reserved to it.
      */
-    ThreadProfiler(unsigned num_threads, unsigned num_colors);
+    ThreadProfiler(unsigned num_threads, unsigned num_colors,
+                   unsigned max_outstanding = 0);
 
     /**
      * A request entered a controller: update shadow row buffer and
@@ -133,8 +136,8 @@ class ThreadProfiler
         /**
          * Outstanding count per distinct (color, row) key, unordered:
          * linear find, swap-remove. Its size is the busy-row count and
-         * is bounded by the thread's outstanding loads, so it stops
-         * allocating once it has reached its peak.
+         * is bounded by the thread's outstanding loads, so it never
+         * allocates past the reserve the constructor gives it.
          */
         std::vector<RowCount> rows;
 

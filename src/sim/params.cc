@@ -1,8 +1,10 @@
 #include "sim/params.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/log.hh"
+#include "part/part_factory.hh"
 
 namespace dbpsim {
 
@@ -60,6 +62,19 @@ SystemParams::applyConfig(const Config &config)
     }
     ConfigReader reader{keys};
     visit(reader);
+
+    // Fail here rather than in the first job, with the message System
+    // would print. The scheduler and policy factories run only to
+    // report an unknown name.
+    if (std::string err = geometry.validate(); !err.empty())
+        fatal("invalid DRAM geometry: ", err);
+    dramTimingByName(timingName);
+    if (std::ranges::find(schedulerNames(), scheduler) ==
+        schedulerNames().end())
+        makeScheduler(scheduler, sched);
+    if (std::ranges::find(partitionPolicyNames(), partition) ==
+        partitionPolicyNames().end())
+        makePartitionPolicy(partition, PartitionInit{});
 
     if (subarrayColoring && controller.salp == SalpMode::None)
         fatal("subarray_color=1 requires a salp mode: without "

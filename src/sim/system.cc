@@ -36,8 +36,8 @@ System::System(const SystemParams &params,
     os_ = std::make_unique<OsMemory>(map_, params_.numCores);
     if (checker_)
         os_->setPartitionObserver(checker_.get());
-    profiler_ = std::make_unique<ThreadProfiler>(params_.numCores,
-                                                 map_.numColors());
+    profiler_ = std::make_unique<ThreadProfiler>(
+        params_.numCores, map_.numColors(), params_.core.mshrs);
 
     SchedulerInit sinit = params_.sched;
     sinit.numThreads = params_.numCores;

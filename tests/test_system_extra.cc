@@ -13,10 +13,12 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "part/part_factory.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/synthetic.hh"
@@ -242,6 +244,63 @@ TEST(SystemConfig, CrossFieldRules)
 
 namespace {
 
+/** A death-test regex matching exactly the fatal line for @p msg. */
+std::string
+fatalLine(const std::string &msg)
+{
+    std::string re = "^\\[dbpsim:fatal\\] ";
+    for (char c : msg) {
+        if (std::string_view("\\^$.|?*+()[{").find(c) !=
+            std::string_view::npos)
+            re += '\\';
+        re += c;
+    }
+    return re + "\n$";
+}
+
+} // namespace
+
+TEST(SystemConfig, RejectsBadGeometryAndNamesAtParseTime)
+{
+    auto parse = [](std::initializer_list<const char *> tokens) {
+        Config cfg;
+        for (const char *t : tokens)
+            cfg.parseToken(t);
+        SystemParams p;
+        p.applyConfig(cfg);
+    };
+    // The messages System's constructor prints for the same values.
+    EXPECT_EXIT(parse({"subarrays=9", "salp=masa"}),
+                ::testing::ExitedWithCode(1),
+                fatalLine("invalid DRAM geometry: all geometry fields "
+                          "must be powers of two"));
+    EXPECT_EXIT(parse({"subarrays=131072", "salp=masa"}),
+                ::testing::ExitedWithCode(1),
+                fatalLine("invalid DRAM geometry: subarraysPerBank "
+                          "(131072) must be in [1, rowsPerBank]"));
+    EXPECT_EXIT(parse({"row_bytes=2048"}), ::testing::ExitedWithCode(1),
+                fatalLine("invalid DRAM geometry: pageBytes (4096) > "
+                          "rowBytes (2048): a frame would span rows"));
+    EXPECT_EXIT(parse({"timing=ddr3-1600x"}), ::testing::ExitedWithCode(1),
+                fatalLine("unknown DRAM timing preset 'ddr3-1600x'"));
+    EXPECT_EXIT(parse({"sched=frfcfs"}), ::testing::ExitedWithCode(1),
+                fatalLine("unknown scheduler 'frfcfs' (expected "
+                          "fcfs|fr-fcfs|par-bs|atlas|tcm|bliss)"));
+    EXPECT_EXIT(parse({"part=dpb"}), ::testing::ExitedWithCode(1),
+                fatalLine("unknown partition policy 'dpb' (expected "
+                          "none|ubp|dbp|mcp|dbp-mcp)"));
+
+    // Everything System accepts still parses.
+    parse({"subarrays=8", "salp=masa", "timing=DDR3-1066"});
+    parse({"subarrays=65536", "salp=salp1"});
+    for (const std::string &name : schedulerNames())
+        parse({("sched=" + name).c_str()});
+    for (const std::string &name : partitionPolicyNames())
+        parse({("part=" + name).c_str()});
+}
+
+namespace {
+
 /** Every visited field's name and value text, in visit order. */
 struct FieldTexts
 {
@@ -299,6 +358,19 @@ const char *otherName(RefreshMode) { return "perbank"; }
 const char *otherName(SalpMode) { return "masa"; }
 const char *otherName(MigrationMode) { return "eager"; }
 
+/** A name other than @p v that string key @p key accepts. */
+std::string
+otherName(std::string_view key, const std::string &v)
+{
+    static const std::vector<std::string> timings{"ddr3-1600",
+                                                  "ddr3-1333"};
+    const std::vector<std::string> &names =
+        key == "timing" ? timings
+        : key == "sched" ? schedulerNames()
+                         : partitionPolicyNames();
+    return names[0] == v ? names[1] : names[0];
+}
+
 /** Each config key with a valid value other than its default. */
 struct KeySamples
 {
@@ -311,9 +383,12 @@ struct KeySamples
         if constexpr (std::is_same_v<T, bool>)
             os << !v;
         else if constexpr (std::is_same_v<T, std::string>)
-            os << v << "x";
+            os << otherName(name, v);
         else if constexpr (std::is_enum_v<T>)
             os << otherName(v);
+        else if constexpr (std::is_integral_v<T>)
+            // Geometry fields must stay powers of two.
+            os << (isPowerOfTwo(v) ? 2 * v : v + 1);
         else
             os << v + 1;
         keys.emplace_back(name, os.str());
